@@ -8,14 +8,14 @@ and perturb (seeded perturbation experiment from a scenario file).
 
 Exit codes: 0 success, 2 validation failure, 3 collision during
 integration, 4 integrator step underflow, 5 stability oracle mismatch.
-All numbers are emitted with 17 significant digits.
+JSON numbers are written as the shortest repr that round-trips binary64;
+CSV numbers with 17 significant digits.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -61,44 +61,11 @@ _AR_ORACLE_TOL = 1e-9
 _INTERNAL_ORACLE_TOL = 1e-5
 
 
-# -- 17-significant-digit JSON -------------------------------------------
-
-def _fmt_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError(f"cannot serialize non-finite value {x!r}")
-    return "%.17g" % x
-
-
-def _json17(obj, indent=0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f"{inner}{json.dumps(str(k))}: {_json17(v, indent + 1)}" for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            return "[]"
-        items = ",\n".join(f"{inner}{_json17(v, indent + 1)}" for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    if obj is None:
-        return "null"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise TypeError(f"cannot serialize {type(obj)!r}")
-
+# -- output --------------------------------------------------------------
 
 def _emit(doc: dict, out_path: str | None) -> None:
-    text = _json17(doc) + "\n"
+    # floats print as their shortest round-tripping repr; NaN raises ValueError
+    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     if out_path:
         with open(out_path, "w") as f:
             f.write(text)
@@ -222,8 +189,7 @@ def cmd_simulate(args) -> int:
         "t_final": float(record.t[-1]),
         "drift": conservation_report(record),
     }
-    with open(report_path, "w") as f:
-        f.write(_json17(doc) + "\n")
+    _emit(doc, report_path)
     return code
 
 

@@ -20,7 +20,7 @@ from .liegroup import (
     AlgebraElement,
     CoalgebraElement,
     GroupElement,
-    infinitesimal_generator,
+    generator_field,
     moebius_act,
 )
 
@@ -91,56 +91,84 @@ def phase_state(x1, y1, x2, y2, px1, py1, px2, py2) -> PhaseState:
 
 
 # -- potential -----------------------------------------------------------
+#
+# Each formula below takes chart coordinates as floats or as arrays alike;
+# the dataclass API passes floats and trajectory code passes columns.
 
-def _cosh_distance(x1, y1, x2, y2):
+def _potential(x1, y1, x2, y2, params):
+    """-k m1 m2 coth(d) through the chart formula, with no inverse
+    hyperbolic function."""
     dx = x1 - x2
-    dy = y1 - y2
-    return 1.0 + (dx * dx + dy * dy) / (2.0 * y1 * y2)
+    a = dx * dx + (y1 - y2) ** 2
+    b = dx * dx + (y1 + y2) ** 2
+    num = dx * dx + y1 * y1 + y2 * y2
+    return -params.k * params.m1 * params.m2 * num / np.sqrt(a * b)
 
 
-def potential(config: Configuration, params: Params) -> float:
-    """Attractive cotangent potential -k m1 m2 coth(d).
+def _potential_gradient(x1, y1, x2, y2, kmm):
+    """Chart gradient (x1, y1, x2, y2) of -kmm coth(d).
 
-    Evaluated through the chart formula so no inverse hyperbolic function
-    appears; it agrees with the coth-of-distance form to rounding. Tends to
-    -inf like -1/d at collision and to -k m1 m2 at infinite separation.
+    Chain rule through cosh(d): dV/dc = kmm * d(cosh d)/dc / sinh(d)^3.
     """
-    q1, q2 = config.q1, config.q2
-    dx = q1.x - q2.x
-    a = dx * dx + (q1.y - q2.y) ** 2
-    b = dx * dx + (q1.y + q2.y) ** 2
-    num = dx * dx + q1.y * q1.y + q2.y * q2.y
-    return -params.k * params.m1 * params.m2 * num / math.sqrt(a * b)
-
-
-def potential_gradient(config: Configuration, params: Params) -> np.ndarray:
-    """Chart gradient of the potential, ordered (x1, y1, x2, y2).
-
-    Chain rule through cosh(d): dV/dc = k m1 m2 * d(cosh d)/dc / sinh(d)^3.
-    """
-    x1, y1 = config.q1.x, config.q1.y
-    x2, y2 = config.q2.x, config.q2.y
     dx = x1 - x2
     dy = y1 - y2
     a = dx * dx + dy * dy
     u = a / (2.0 * y1 * y2)
     # sinh(d)^2 = cosh(d)^2 - 1 factored as u (2 + u); the squared form
     # cancels catastrophically once the bodies are close
-    sh3 = (u * (2.0 + u)) ** 1.5
-    pre = params.k * params.m1 * params.m2 / sh3
-    dch_x1 = dx / (y1 * y2)
-    dch_y1 = dy / (y1 * y2) - a / (2.0 * y1 * y1 * y2)
-    dch_y2 = -dy / (y1 * y2) - a / (2.0 * y1 * y2 * y2)
-    return pre * np.array([dch_x1, dch_y1, -dch_x1, dch_y2])
+    pre = kmm / (u * (2.0 + u)) ** 1.5
+    gx1 = pre * dx / (y1 * y2)
+    gy1 = pre * (dy / (y1 * y2) - a / (2.0 * y1 * y1 * y2))
+    gy2 = pre * (-dy / (y1 * y2) - a / (2.0 * y1 * y2 * y2))
+    return gx1, gy1, -gx1, gy2
+
+
+def _kinetic(x1, y1, x2, y2, px1, py1, px2, py2, params):
+    """Cometric kinetic energy, each body's momentum raised by y^2 / m."""
+    t1 = y1 * y1 * (px1 * px1 + py1 * py1) / params.m1
+    t2 = y2 * y2 * (px2 * px2 + py2 * py2) / params.m2
+    return 0.5 * (t1 + t2)
+
+
+def _momentum(x1, y1, x2, y2, px1, py1, px2, py2):
+    """Momentum map components (Jh, Je, Jp)."""
+    jh = x1 * px1 + y1 * py1 + x2 * px2 + y2 * py2
+    je1 = 0.5 * px1 * (y1 * y1 - x1 * x1 - 1.0) - py1 * x1 * y1
+    je2 = 0.5 * px2 * (y2 * y2 - x2 * x2 - 1.0) - py2 * x2 * y2
+    return jh, je1 + je2, px1 + px2
+
+
+def generator_momenta(xi: AlgebraElement, x1, y1, x2, y2, params):
+    """Momenta (px1, py1, px2, py2) whose velocity is the generator flow of
+    xi at each body: m/y^2 times the chart field."""
+    gx1, gy1 = generator_field(xi, x1, y1)
+    gx2, gy2 = generator_field(xi, x2, y2)
+    c1 = params.m1 / (y1 * y1)
+    c2 = params.m2 / (y2 * y2)
+    return c1 * gx1, c1 * gy1, c2 * gx2, c2 * gy2
+
+
+def potential(config: Configuration, params: Params) -> float:
+    """Attractive cotangent potential -k m1 m2 coth(d).
+
+    Agrees with the coth-of-distance form to rounding. Tends to -inf like
+    -1/d at collision and to -k m1 m2 at infinite separation.
+    """
+    q1, q2 = config.q1, config.q2
+    return float(_potential(q1.x, q1.y, q2.x, q2.y, params))
+
+
+def potential_gradient(config: Configuration, params: Params) -> np.ndarray:
+    """Chart gradient of the potential, ordered (x1, y1, x2, y2)."""
+    q1, q2 = config.q1, config.q2
+    kmm = params.k * params.m1 * params.m2
+    return np.array(_potential_gradient(q1.x, q1.y, q2.x, q2.y, kmm))
 
 
 # -- energy and equations of motion --------------------------------------
 
 def kinetic_energy(state: PhaseState, params: Params) -> float:
-    q1, q2 = state.config.q1, state.config.q2
-    t1 = q1.y * q1.y * (state.px1 * state.px1 + state.py1 * state.py1) / params.m1
-    t2 = q2.y * q2.y * (state.px2 * state.px2 + state.py2 * state.py2) / params.m2
-    return 0.5 * (t1 + t2)
+    return _kinetic(*state.as_array().tolist(), params)
 
 
 def hamiltonian(state: PhaseState, params: Params) -> float:
@@ -156,15 +184,7 @@ def hamiltonian_vector_field(state: PhaseState, params: Params) -> np.ndarray:
 def _field_array(z, m1, m2, k):
     """Array-in, array-out equations of motion; hot path for integrators."""
     x1, y1, x2, y2, px1, py1, px2, py2 = z
-    dx = x1 - x2
-    dy = y1 - y2
-    a = dx * dx + dy * dy
-    u = a / (2.0 * y1 * y2)
-    sh3 = (u * (2.0 + u)) ** 1.5
-    pre = k * m1 * m2 / sh3
-    gx1 = pre * dx / (y1 * y2)
-    gy1 = pre * (dy / (y1 * y2) - a / (2.0 * y1 * y1 * y2))
-    gy2 = pre * (-dy / (y1 * y2) - a / (2.0 * y1 * y2 * y2))
+    gx1, gy1, gx2, gy2 = _potential_gradient(x1, y1, x2, y2, k * m1 * m2)
     r1 = y1 * y1 / m1
     r2 = y2 * y2 / m2
     return np.array(
@@ -175,7 +195,7 @@ def _field_array(z, m1, m2, k):
             r2 * py2,
             -gx1,
             -(y1 / m1) * (px1 * px1 + py1 * py1) - gy1,
-            gx1,
+            -gx2,
             -(y2 / m2) * (px2 * px2 + py2 * py2) - gy2,
         ]
     )
@@ -193,16 +213,9 @@ def velocity_vectors(state: PhaseState, params: Params):
 
 
 def legendre(config: Configuration, params: Params, xi: AlgebraElement) -> PhaseState:
-    """State whose velocity is the generator flow of xi at each body.
-
-    Lowers the generator vector field with the kinetic metric: momentum
-    m/y^2 times chart velocity.
-    """
-    g1 = infinitesimal_generator(xi, config.q1)
-    g2 = infinitesimal_generator(xi, config.q2)
-    c1 = params.m1 / (config.q1.y * config.q1.y)
-    c2 = params.m2 / (config.q2.y * config.q2.y)
-    return PhaseState(config, c1 * g1.vx, c1 * g1.vy, c2 * g2.vx, c2 * g2.vy)
+    """State whose velocity is the generator flow of xi at each body."""
+    q1, q2 = config.q1, config.q2
+    return PhaseState(config, *generator_momenta(xi, q1.x, q1.y, q2.x, q2.y, params))
 
 
 # -- symmetry ------------------------------------------------------------
@@ -210,24 +223,8 @@ def legendre(config: Configuration, params: Params, xi: AlgebraElement) -> Phase
 def momentum_map(state: PhaseState) -> CoalgebraElement:
     """Conserved momentum of the isometry action; mass-independent in the
     momenta. Components pair with algebra elements: <J, xi> = sum p(xi_Q)."""
-    z = state.as_array()
-    return CoalgebraElement(_j_e(z), _j_h(z), _j_p(z))
-
-
-def _j_h(z):
-    x1, y1, x2, y2, px1, py1, px2, py2 = z
-    return x1 * px1 + y1 * py1 + x2 * px2 + y2 * py2
-
-
-def _j_p(z):
-    return z[4] + z[6]
-
-
-def _j_e(z):
-    x1, y1, x2, y2, px1, py1, px2, py2 = z
-    t1 = 0.5 * px1 * (y1 * y1 - x1 * x1 - 1.0) - py1 * x1 * y1
-    t2 = 0.5 * px2 * (y2 * y2 - x2 * x2 - 1.0) - py2 * x2 * y2
-    return t1 + t2
+    jh, je, jp = _momentum(*state.as_array().tolist())
+    return CoalgebraElement(je, jh, jp)
 
 
 def group_act_phase(g: GroupElement, state: PhaseState) -> PhaseState:
@@ -356,17 +353,15 @@ def augmented_potential_gradient(
     out = np.array(grad)
     for i, (p, m) in enumerate(((config.q1, params.m1), (config.q2, params.m2))):
         x, y = p.x, p.y
-        g = infinitesimal_generator(xi, p)
+        gx, gy = generator_field(xi, x, y)
         # chart Jacobian of the generator field
         dgx_dx = -xi.E * x + xi.H
         dgx_dy = xi.E * y
         dgy_dx = -xi.E * y
         dgy_dy = -xi.E * x + xi.H
         y2 = y * y
-        d_dx = (g.vx * dgx_dx + g.vy * dgy_dx) * m / y2
-        d_dy = (g.vx * dgx_dy + g.vy * dgy_dy) * m / y2 - m * (
-            g.vx * g.vx + g.vy * g.vy
-        ) / (y2 * y)
+        d_dx = (gx * dgx_dx + gy * dgy_dx) * m / y2
+        d_dy = (gx * dgx_dy + gy * dgy_dy) * m / y2 - m * (gx * gx + gy * gy) / (y2 * y)
         out[2 * i] -= d_dx
         out[2 * i + 1] -= d_dy
     return out

@@ -43,6 +43,7 @@ from .dynamics import (
     Params,
     PhaseState,
     augmented_potential_gradient,
+    generator_momenta,
     legendre,
     momentum_at_canonical,
 )
@@ -118,10 +119,19 @@ def center_of_mass(q1: Point, q2: Point, params: Params) -> CenterOfMassSplit:
     return CenterOfMassSplit(com=com, d1=t, d2=d - t)
 
 
+def _check_distances(**named: float) -> None:
+    """Arc distances must be positive, and small enough that tanh(d) < 1 in
+    binary64 (d below about 19.06): the canonical angles need it."""
+    for name, d in named.items():
+        if not d > 0.0:
+            raise NonPositiveDistance(f"{name} must be positive, got {d!r}")
+        if math.tanh(d) == 1.0:
+            raise OutOfRange(f"{name} = {d!r} is out of range: tanh({name}) rounds to 1")
+
+
 def partner_distance(d1: float, params: Params) -> float:
     """The d2 that balances d1: m1 sinh(2 d1) = m2 sinh(2 d2)."""
-    if not d1 > 0.0:
-        raise NonPositiveDistance(f"d1 must be positive, got {d1!r}")
+    _check_distances(d1=d1)
     return 0.5 * math.asinh(params.m1 / params.m2 * math.sinh(2.0 * d1))
 
 
@@ -129,9 +139,7 @@ def partner_distance(d1: float, params: Params) -> float:
 
 def canonical_angles_from_distances(d1: float, d2: float) -> tuple[float, float]:
     """Unit-circle angles with tanh(d_i) = cos(theta_i), sech = sin."""
-    for name, d in (("d1", d1), ("d2", d2)):
-        if not d > 0.0:
-            raise NonPositiveDistance(f"{name} must be positive, got {d!r}")
+    _check_distances(d1=d1, d2=d2)
     t1 = math.atan2(1.0 / math.cosh(d1), math.tanh(d1))
     t2 = math.atan2(1.0 / math.cosh(d2), math.tanh(d2))
     return t1, t2
@@ -345,9 +353,7 @@ def build_relative_equilibrium(
     """
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
-    for name, d in (("d1", d1), ("d2", d2)):
-        if not d > 0.0:
-            raise NonPositiveDistance(f"{name} must be positive, got {d!r}")
+    _check_distances(d1=d1, d2=d2)
     b1 = params.m1 * math.sinh(2.0 * d1)
     b2 = params.m2 * math.sinh(2.0 * d2)
     if abs(b1 - b2) > _BALANCE_TOL * max(b1, b2):
@@ -373,8 +379,9 @@ def build_relative_equilibrium(
     config = canonical_configuration(theta1, theta2)
 
     grad = augmented_potential_gradient(config, params, xi)
-    scale = params.k * params.m1 * params.m2
-    if float(np.linalg.norm(grad)) > 1e-8 * max(1.0, scale):
+    # the gradient's terms scale like the force k m1 m2 / sinh(d)^2
+    force = params.k * params.m1 * params.m2 / math.sinh(d) ** 2
+    if float(np.linalg.norm(grad)) > 1e-8 * max(1.0, force):
         raise ValueError(
             f"augmented potential is not critical (|grad| = {np.linalg.norm(grad):.3e})"
         )
@@ -397,31 +404,31 @@ def initial_state(re: RelativeEquilibrium) -> PhaseState:
     return legendre(re.config, re.params, re.xi)
 
 
-def analytic_trajectory(re: RelativeEquilibrium, t: float) -> PhaseState:
-    """Exact state at time t.
+def analytic_states(re: RelativeEquilibrium, ts) -> np.ndarray:
+    """Exact states at the times ts, as an (..., 8) array.
 
     Hyperbolic family: both bodies slide along the common geodesic, the
     canonical picture scaled by exp(omega t). Elliptic family: rigid
     rotation of the unit circle about (0, 1). Momenta come from the
     generator at the transported configuration.
     """
-    w = re.omega * t
+    w = re.omega * np.asarray(ts, dtype=float)
+    c1, s1 = math.cos(re.theta1), math.sin(re.theta1)
+    c2, s2 = math.cos(re.theta2), math.sin(re.theta2)
     if re.family is Family.HYPERBOLIC:
-        lam = math.exp(w)
-        c1, s1 = math.cos(re.theta1), math.sin(re.theta1)
-        c2, s2 = math.cos(re.theta2), math.sin(re.theta2)
-        config = Configuration(
-            Point(lam * c1, lam * s1), Point(-lam * c2, lam * s2)
-        )
+        lam = np.exp(w)
+        x1, y1, x2, y2 = lam * c1, lam * s1, -lam * c2, lam * s2
     else:
-        c1, s1 = math.cos(re.theta1), math.sin(re.theta1)
-        c2, s2 = math.cos(re.theta2), math.sin(re.theta2)
-        cw, sw = math.cos(w), math.sin(w)
-        config = Configuration(
-            Point(c1 * cw / (1.0 + c1 * sw), s1 / (1.0 + c1 * sw)),
-            Point(-c2 * cw / (1.0 - c2 * sw), s2 / (1.0 - c2 * sw)),
-        )
-    return legendre(config, re.params, re.xi)
+        cw, sw = np.cos(w), np.sin(w)
+        x1, y1 = c1 * cw / (1.0 + c1 * sw), s1 / (1.0 + c1 * sw)
+        x2, y2 = -c2 * cw / (1.0 - c2 * sw), s2 / (1.0 - c2 * sw)
+    p = generator_momenta(re.xi, x1, y1, x2, y2, re.params)
+    return np.stack([x1, y1, x2, y2, *p], axis=-1)
+
+
+def analytic_trajectory(re: RelativeEquilibrium, t: float) -> PhaseState:
+    """Exact state at time t; see analytic_states."""
+    return PhaseState.from_array(analytic_states(re, t))
 
 
 # -- intrinsic verification ----------------------------------------------
@@ -483,9 +490,8 @@ def intrinsic_checks(re: RelativeEquilibrium, n_samples: int = 16) -> IntrinsicR
     max_perp = 0.0
     max_speed_err = 0.0
     max_com_err = 0.0
-    for t in times:
-        state = analytic_trajectory(re, t)
-        q1, q2 = state.config.q1, state.config.q2
+    for t, (x1, y1, x2, y2, *_) in zip(times, analytic_states(re, times).tolist()):
+        q1, q2 = Point(x1, y1), Point(x2, y2)
         geo = geodesic_through(q1, q2)
         v1 = infinitesimal_generator(re.xi, q1)
         v2 = infinitesimal_generator(re.xi, q2)

@@ -13,13 +13,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
+import numpy as np
+
 from .errors import CoincidentPoints, NotOnGeodesic, NotPerpendicular, ZeroVector
 
 # |a.x - b.x| below this (scaled) means the joining geodesic is a vertical line
 _VERTICAL_TIE = 1e-12
-# switch acosh(1 + u) to its expansion when u is this small, to keep
-# hyperbolic_distance full-precision for nearly coincident points
-_NEAR_ONE = 1e-12
 # chart mismatch allowed before a point is rejected as off-geodesic
 _ON_GEODESIC_TOL = 1e-9
 # relative tolerance for the perpendicularity test in normal_orientation
@@ -100,19 +99,21 @@ class Orientation(Enum):
     OPPOSITE = "opposite"
 
 
-def hyperbolic_distance(a: Point, b: Point) -> float:
-    """Distance between two points.
+def separation(x1, y1, x2, y2):
+    """Distance between (x1, y1) and (x2, y2); floats or arrays alike.
 
-    Uses cosh(d) = 1 + ((ax-bx)^2 + (ay-by)^2) / (2 ay by), replacing the
-    acosh by its leading expansion sqrt(2u) once the argument is within
-    1e-12 of 1, where acosh itself loses half the significant digits.
+    With u = |q1 - q2|^2 / (2 y1 y2) = cosh(d) - 1, the half-angle form
+    sinh(d/2) = sqrt(u/2) keeps full precision for nearly coincident points.
     """
-    dx = a.x - b.x
-    dy = a.y - b.y
-    u = (dx * dx + dy * dy) / (2.0 * a.y * b.y)
-    if u < _NEAR_ONE:
-        return math.sqrt(2.0 * u)
-    return math.acosh(1.0 + u)
+    dx = x1 - x2
+    dy = y1 - y2
+    u = (dx * dx + dy * dy) / (2.0 * y1 * y2)
+    return 2.0 * np.arcsinh(np.sqrt(0.5 * u))
+
+
+def hyperbolic_distance(a: Point, b: Point) -> float:
+    """Distance between two points."""
+    return float(separation(a.x, a.y, b.x, b.y))
 
 
 def geodesic_through(a: Point, b: Point) -> Geodesic:

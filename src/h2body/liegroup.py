@@ -95,10 +95,6 @@ class AlgebraElement:
             float(m[0][1]) + float(m[1][0]),
         )
 
-    def frobenius_norm(self) -> float:
-        m = self.matrix()
-        return float(np.sqrt(np.sum(m * m)))
-
     def coords(self) -> np.ndarray:
         return np.array([self.E, self.H, self.P])
 
@@ -261,11 +257,17 @@ def moebius_act_tangent(g: GroupElement, v: TangentVector) -> TangentVector:
     )
 
 
+def generator_field(xi: AlgebraElement, x, y):
+    """Chart components (gx, gy) of the flow field of xi at (x, y); floats
+    or arrays alike."""
+    gx = 0.5 * xi.E * (y * y - x * x - 1.0) + xi.H * x + xi.P
+    gy = -xi.E * x * y + xi.H * y
+    return gx, gy
+
+
 def infinitesimal_generator(xi: AlgebraElement, p: Point) -> TangentVector:
     """Vector field of the one-parameter flow of xi, evaluated at p."""
-    gx = 0.5 * xi.E * (p.y * p.y - p.x * p.x - 1.0) + xi.H * p.x + xi.P
-    gy = -xi.E * p.x * p.y + xi.H * p.y
-    return TangentVector(p, gx, gy)
+    return TangentVector(p, *generator_field(xi, p.x, p.y))
 
 
 def bracket(xi: AlgebraElement, eta: AlgebraElement) -> AlgebraElement:

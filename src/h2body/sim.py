@@ -22,8 +22,12 @@ from .dynamics import (
     Params,
     PhaseState,
     _field_array,
+    _kinetic,
+    _momentum,
+    _potential,
 )
-from .equilibria import RelativeEquilibrium, analytic_trajectory, initial_state
+from .equilibria import RelativeEquilibrium, analytic_states, initial_state
+from .geom import separation
 
 _CSV_SCHEMA = "#schema=v1"
 _CSV_COLUMNS = "t,x1,y1,x2,y2,px1,py1,px2,py2,energy,Jh,Je,Jp,dist"
@@ -131,53 +135,17 @@ class TrajectoryRecord:
     error: str | None = None
 
 
-def _distances_of(states: np.ndarray) -> np.ndarray:
-    dx = states[:, 0] - states[:, 2]
-    dy = states[:, 1] - states[:, 3]
-    u = (dx * dx + dy * dy) / (2.0 * states[:, 1] * states[:, 3])
-    small = u < 1e-12
-    out = np.arccosh(1.0 + u)
-    if np.any(small):
-        out[small] = np.sqrt(2.0 * u[small])
-    return out
-
-
-def _energies_of(states: np.ndarray, params: Params) -> np.ndarray:
-    x1, y1, x2, y2, px1, py1, px2, py2 = states.T
-    kin = 0.5 * (
-        y1 * y1 * (px1 * px1 + py1 * py1) / params.m1
-        + y2 * y2 * (px2 * px2 + py2 * py2) / params.m2
-    )
-    dx = x1 - x2
-    a = dx * dx + (y1 - y2) ** 2
-    b = dx * dx + (y1 + y2) ** 2
-    num = dx * dx + y1 * y1 + y2 * y2
-    return kin - params.k * params.m1 * params.m2 * num / np.sqrt(a * b)
-
-
-def _momenta_of(states: np.ndarray) -> np.ndarray:
-    x1, y1, x2, y2, px1, py1, px2, py2 = states.T
-    jh = x1 * px1 + y1 * py1 + x2 * px2 + y2 * py2
-    je = (
-        0.5 * px1 * (y1 * y1 - x1 * x1 - 1.0)
-        - py1 * x1 * y1
-        + 0.5 * px2 * (y2 * y2 - x2 * x2 - 1.0)
-        - py2 * x2 * y2
-    )
-    jp = px1 + px2
-    return np.column_stack([jh, je, jp])
-
-
 def record_from_states(t, states, params: Params, completed=True, error=None) -> TrajectoryRecord:
     """Assemble a record, recomputing energy, momentum and separation."""
     t = np.asarray(t, dtype=float)
     states = np.asarray(states, dtype=float)
+    cols = states.T
     return TrajectoryRecord(
         t=t,
         states=states,
-        energy=_energies_of(states, params),
-        momentum=_momenta_of(states),
-        distance=_distances_of(states),
+        energy=_kinetic(*cols, params) + _potential(*cols[:4], params),
+        momentum=np.column_stack(_momentum(*cols)),
+        distance=separation(*cols[:4]),
         completed=completed,
         error=error,
     )
@@ -186,11 +154,7 @@ def record_from_states(t, states, params: Params, completed=True, error=None) ->
 # -- integration ---------------------------------------------------------
 
 def _collision_event(t, z):
-    dx = z[0] - z[2]
-    dy = z[1] - z[3]
-    u = (dx * dx + dy * dy) / (2.0 * z[1] * z[3])
-    d = math.sqrt(2.0 * u) if u < 1e-12 else math.acosh(1.0 + u)
-    return d - COLLISION_EPSILON
+    return separation(z[0], z[1], z[2], z[3]) - COLLISION_EPSILON
 
 
 _collision_event.terminal = True
@@ -255,11 +219,11 @@ def compare_analytic(re: RelativeEquilibrium, config: IntegratorConfig) -> float
     """Integrate an equilibrium numerically and measure the worst chart
     distance to the exact trajectory over the sample grid."""
     rec = integrate(initial_state(re), re.params, config)
-    worst = 0.0
-    for t, row in zip(rec.t, rec.states):
-        exact = analytic_trajectory(re, float(t)).as_array()
-        worst = max(worst, float(np.linalg.norm(row - exact)))
-    return worst
+    return _max_chart_deviation(re, rec.t, rec.states)
+
+
+def _max_chart_deviation(re: RelativeEquilibrium, ts, states) -> float:
+    return float(np.max(np.linalg.norm(states - analytic_states(re, ts), axis=1)))
 
 
 # -- trajectory CSV ------------------------------------------------------
@@ -369,10 +333,7 @@ def perturb_and_measure(experiment: PerturbationExperiment) -> dict:
         return _field_array(z, m1, m2, k)
 
     def escape(t, z):
-        dx = z[0] - z[2]
-        dy = z[1] - z[3]
-        u = (dx * dx + dy * dy) / (2.0 * z[1] * z[3])
-        d = math.sqrt(2.0 * u) if u < 1e-12 else math.acosh(1.0 + u)
+        d = separation(z[0], z[1], z[2], z[3])
         return abs(d - r0) - experiment.escape_threshold
 
     escape.terminal = True
@@ -415,13 +376,9 @@ def perturb_and_measure(experiment: PerturbationExperiment) -> dict:
         elif sol.status < 0:
             trial["error"] = "step_underflow"
         if states.size:
-            dist = _distances_of(states)
+            dist = separation(*states.T[:4])
             trial["max_distance_deviation"] = float(np.max(np.abs(dist - r0)))
-            worst = 0.0
-            for t, row in zip(ts, states):
-                exact = analytic_trajectory(re, float(t)).as_array()
-                worst = max(worst, float(np.linalg.norm(row - exact)))
-            trial["max_chart_deviation"] = worst
+            trial["max_chart_deviation"] = _max_chart_deviation(re, ts, states)
         trials.append(trial)
 
     measured = [t["max_distance_deviation"] for t in trials if t["max_distance_deviation"] is not None]

@@ -106,6 +106,11 @@ class TestEquilibriumCommand:
         assert code == 2
         assert "error" in err
 
+    def test_largest_supported_distance(self, capsys):
+        code, out, _ = run(capsys, "equilibrium", "hyperbolic", "18")
+        assert code == 0
+        assert json.loads(out)["d1"] == 18.0
+
     def test_unknown_family_rejected_by_parser(self):
         with pytest.raises(SystemExit) as exc:
             main(["equilibrium", "parabolic", "0.5"])
@@ -341,6 +346,27 @@ class TestPerturbCommand:
         code, _, err = run(capsys, "perturb", "--scenario", scenario)
         assert code == 2
         assert "sign" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("equilibrium", "elliptic", "19.5"),
+        ("equilibrium", "hyperbolic", "400"),
+        ("stability", "20"),
+        ("stability", "1e308"),
+        ("perturb", "--scenario"),
+    ],
+)
+def test_distance_past_the_binary64_domain_exits_2(capsys, tmp_path, argv):
+    # tanh(d1) rounds to 1 for d1 above about 19.06: a typed error, no traceback
+    if argv[0] == "perturb":
+        doc = json.loads(open(TestPerturbCommand._scenario(tmp_path)).read())
+        doc["equilibrium"]["d1"] = 400.0
+        argv += (write_json(tmp_path / "far.json", doc),)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:")
 
 
 class TestErrorPlumbing:

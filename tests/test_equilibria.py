@@ -108,6 +108,17 @@ class TestPartnerDistance:
         with pytest.raises(NonPositiveDistance):
             partner_distance(-0.3, Params(1.0, 1.0))
 
+    def test_rejects_distances_where_tanh_rounds_to_one(self):
+        # tanh(19.5) == 1.0 in binary64; sinh(2 * 400) overflows
+        for d1 in (19.5, 400.0, math.inf):
+            with pytest.raises(OutOfRange):
+                partner_distance(d1, Params(1.0, 1.0))
+        assert math.tanh(19.0) < 1.0
+        partner_distance(19.0, Params(1.0, 1.0))
+        # a legal d1 whose partner is out of range
+        with pytest.raises(OutOfRange):
+            build_relative_equilibrium(Family.ELLIPTIC, 0.5, 19.5, Params(1.0, 1.0))
+
 
 class TestCanonicalAngles:
     def test_duality(self, rng):
@@ -276,6 +287,24 @@ class TestBuildRelativeEquilibrium:
             )
         with pytest.raises(NonPositiveDistance):
             build_relative_equilibrium(Family.ELLIPTIC, -0.5, 0.5, Params(1.0, 1.0))
+
+    @pytest.mark.parametrize("family", [Family.ELLIPTIC, Family.HYPERBOLIC])
+    @pytest.mark.parametrize("d1", [0.001, 1.0])
+    def test_criticality_check_rejects_a_detuned_rate(self, monkeypatch, family, d1):
+        # the tolerance follows the force scale k m1 m2 / sinh(d)^2, so close
+        # pairs are accepted, yet a rate off by 1e-6 still fails the check
+        import h2body.equilibria as eq
+
+        params = Params(1.0, 1.0)
+        build_relative_equilibrium(family, d1, d1, params)
+        exact = eq.augmented_potential_gradient
+        monkeypatch.setattr(
+            eq,
+            "augmented_potential_gradient",
+            lambda config, params, xi: exact(config, params, xi * (1.0 + 1e-6)),
+        )
+        with pytest.raises(ValueError, match="not critical"):
+            build_relative_equilibrium(family, d1, d1, params)
 
     def test_generator_direction_per_family(self, rng):
         hyp = random_balanced_re(rng, Family.HYPERBOLIC)

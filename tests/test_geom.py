@@ -70,13 +70,21 @@ class TestDistance:
             assert d > 0.0
 
     def test_near_coincident_expansion(self):
-        # tiny chord: the acosh argument is within 1e-12 of one, the
-        # expansion must return the chart separation scaled by 1/y
+        # tiny chord: cosh(d) is within 1e-12 of one, and the distance
+        # must be the chart separation scaled by 1/y
         a = Point(0.0, 1.0)
         b = Point(1e-8, 1.0)
         d = hyperbolic_distance(a, b)
         assert d == pytest.approx(1e-8, rel=1e-9)
         assert d > 0.0
+        # u = cosh(d) - 1 at and around 1e-12, where acosh(1 + u) keeps only
+        # a few digits, against the series d = sqrt(2u) (1 - u/12 + ...)
+        for u in (1e-13, 1e-12, 1e-11):
+            b = Point(math.sqrt(2.0 * u), 1.0)
+            u = 0.5 * b.x * b.x
+            d = hyperbolic_distance(a, b)
+            series = math.sqrt(2.0 * u) * (1.0 - u / 12.0)
+            assert d == pytest.approx(series, rel=1e-12, abs=0.0)
 
     def test_triangle_inequality(self, rng):
         for _ in range(100):

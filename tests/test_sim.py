@@ -13,12 +13,16 @@ from h2body import (
     PerturbationExperiment,
     PhaseState,
     Xoshiro256StarStar,
+    analytic_states,
     analytic_trajectory,
     build_relative_equilibrium,
     compare_analytic,
     conservation_report,
+    hamiltonian,
     initial_state,
     integrate,
+    momentum_map,
+    partner_distance,
     perturb_and_measure,
     phase_state,
     read_trajectory_csv,
@@ -113,11 +117,37 @@ class TestRecords:
         # conserved quantities recomputed from exact states never drift
         re = _equal_mass_elliptic()
         ts = np.linspace(0.0, re.period, 64)
-        states = np.array([analytic_trajectory(re, float(t)).as_array() for t in ts])
-        rec = record_from_states(ts, states, re.params)
+        rec = record_from_states(ts, analytic_states(re, ts), re.params)
         rep = conservation_report(rec)
         assert max(rep.values()) < 1e-10
         assert np.max(np.abs(rec.distance - re.distance)) < 1e-12
+
+    @pytest.mark.parametrize("family", [Family.ELLIPTIC, Family.HYPERBOLIC])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_analytic_states_rows_match_scalar_trajectory(self, family, sign):
+        params = Params(2.0, 1.0, 1.5)
+        re = build_relative_equilibrium(
+            family, 0.4, partner_distance(0.4, params), params, sign=sign
+        )
+        ts = np.linspace(0.0, 3.0, 25)
+        states = analytic_states(re, ts)
+        assert states.shape == (25, 8)
+        for t, row in zip(ts, states):
+            exact = analytic_trajectory(re, float(t)).as_array()
+            np.testing.assert_allclose(row, exact, rtol=1e-15, atol=0.0)
+
+    def test_record_columns_match_scalar_api(self):
+        # the array columns of a record against the dataclass functions
+        params = Params(2.0, 1.0, 1.5)
+        state = _kicked_bound_state(_equal_mass_elliptic())
+        rec = integrate(state, params, IntegratorConfig(t_end=1.0, sample_dt=0.125))
+        assert rec.t.size == 9
+        for row, energy, jrow, dist in zip(rec.states, rec.energy, rec.momentum, rec.distance):
+            s = PhaseState.from_array(row)
+            mu = momentum_map(s)
+            assert energy == pytest.approx(hamiltonian(s, params), rel=1e-15, abs=0.0)
+            np.testing.assert_allclose(jrow, [mu.h, mu.e, mu.p], rtol=1e-15, atol=0.0)
+            assert dist == pytest.approx(s.config.distance(), rel=1e-15, abs=0.0)
 
     def test_csv_round_trip_is_exact(self, tmp_path):
         re = _equal_mass_elliptic()
