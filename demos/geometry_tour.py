@@ -1,14 +1,14 @@
 """A short tour of the upper half-plane and its isometry group.
 
 Every distance here comes from the single chart (x, y), y > 0, with the
-metric scaled so the curvature is -1. Geodesics are half-circles centered
-on the x-axis, or vertical lines.
+metric scaled so the curvature is -1. A geodesic is given by a point and a
+unit tangent vector there, and the exponential map walks it by arc length.
 """
 
 import math
 
 from h2body import Point, flow, hyperbolic_distance, moebius_act
-from h2body.geom import arc_coordinate, geodesic_point_at, geodesic_through
+from h2body.geom import geodesic_point_at, geodesic_through
 from h2body.liegroup import AlgebraElement, classify, normalizing_isometry
 
 ######################
@@ -28,16 +28,18 @@ print("after an isometry  =", hyperbolic_distance(moebius_act(g_up, a), moebius_
 # Geodesics          #
 ######################
 
+# the unit tangent at a of the geodesic toward b
 geo = geodesic_through(a, b)
-print("\ngeodesic through a, b:", geo)
+print("\ngeodesic from a toward b, unit tangent:", geo)
 
-# unit-speed parametrization: s is arc length
-for s in (0.0, 0.5, 1.0):
+# unit-speed parametrization: s is arc length, so walking d(a, b) reaches b
+for s in (0.0, 0.5, 1.0, hyperbolic_distance(a, b)):
     tv = geodesic_point_at(geo, s)
-    print(f"  s={s:.1f} -> ({tv.base.x:+.6f}, {tv.base.y:.6f})")
+    print(f"  s={s:.4f} -> ({tv.base.x:+.6f}, {tv.base.y:.6f})")
 
-s_b = arc_coordinate(geo, b) - arc_coordinate(geo, a)
-print("arc length a -> b  =", abs(s_b), " (same as the distance above)")
+mid = geodesic_point_at(geo, 0.5).base
+print("d(a, s=0.5) + d(s=0.5, b) =", hyperbolic_distance(a, mid) + hyperbolic_distance(mid, b),
+      " (same as the distance above)")
 
 ######################
 # Moving to (0, 1)   #

@@ -7,7 +7,9 @@ oracles), threshold-curve (stability threshold over a mass-ratio range),
 and perturb (seeded perturbation experiment from a scenario file).
 
 Exit codes: 0 success, 2 validation failure, 3 collision during
-integration, 4 integrator step underflow, 5 stability oracle mismatch.
+integration, 4 integrator step underflow, 5 a closed form disagreeing with
+its oracle (stability blocks, rate or criticality cross-checks, intrinsic
+geometry checks).
 JSON numbers are written as the shortest repr that round-trips binary64;
 CSV numbers with 17 significant digits.
 """
@@ -25,6 +27,7 @@ from .errors import (
     CollisionDuringIntegration,
     H2BodyError,
     IntegrationError,
+    OracleMismatch,
     ScenarioError,
     StepSizeUnderflow,
 )
@@ -205,6 +208,7 @@ def cmd_equilibrium(args) -> int:
     mu = momentum_of(re)
     z0 = initial_state(re)
     report = classify_stability(re)
+    intrinsic = intrinsic_checks(re).as_dict()
     doc = {
         "family": family.value,
         "params": {"m1": params.m1, "m2": params.m2, "k": params.k},
@@ -230,10 +234,18 @@ def cmd_equilibrium(args) -> int:
             )
         ),
         "momentum": {"e": mu.e, "h": mu.h, "p": mu.p},
-        "intrinsic": intrinsic_checks(re).as_dict(),
+        "intrinsic": intrinsic,
         "stability": report.as_dict(),
     }
     _emit(doc, args.out)
+    if not intrinsic["ok"]:
+        print(
+            f"error: intrinsic check failed (perp {intrinsic['max_perp_residual']:.3e}, "
+            f"speed {intrinsic['max_speed_error']:.3e}, com {intrinsic['max_com_error']:.3e}, "
+            f"orientation {intrinsic['orientation']})",
+            file=sys.stderr,
+        )
+        return 5
     return 0
 
 
@@ -322,6 +334,8 @@ def cmd_perturb(args) -> int:
     family = Family(eq["family"])
     try:
         re = _build_re(family, _num(eq, "equilibrium", "d1", positive=True), params, sign)
+    except OracleMismatch:
+        raise
     except (ValueError, H2BodyError) as exc:
         raise ScenarioError(f"invalid equilibrium: {exc}") from exc
 
@@ -435,6 +449,9 @@ def main(argv=None) -> int:
     except CollisionDuringIntegration as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OracleMismatch as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
     except (ScenarioError, H2BodyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

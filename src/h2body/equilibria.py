@@ -17,24 +17,15 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import MassDistanceMismatch, NonPositiveDistance, OutOfRange
-from .geom import (
-    Orientation,
-    Point,
-    arc_coordinate,
-    geodesic_point_at,
-    geodesic_through,
-    hyperbolic_distance,
-    hyperbolic_inner,
-    normal_orientation,
-)
+from .errors import MassDistanceMismatch, NonPositiveDistance, OracleMismatch, OutOfRange
+from .geom import Orientation, Point, exponential_map, geodesic_direction, separation
 from .liegroup import (
     XI_E,
     XI_H,
     XI_P,
     AlgebraElement,
     GroupElement,
-    infinitesimal_generator,
+    generator_field,
     moebius_act,
     normalizing_isometry,
 )
@@ -71,52 +62,30 @@ class CenterOfMassSplit:
     d2: float
 
 
-def _bisect_secant(f, lo, hi, tol):
-    """Root of f on a sign-changing bracket: bisection, secant polish."""
-    flo = f(lo)
-    for _ in range(52):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if flo * fm <= 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-        if hi - lo < 1e-6:
-            break
-    a, b = lo, hi
-    fa, fb = f(a), f(b)
-    for _ in range(60):
-        if fb == fa:
-            break
-        c = b - fb * (b - a) / (fb - fa)
-        if not lo - 1e-9 <= c <= hi + 1e-9:
-            c = 0.5 * (a + b)
-        fc = f(c)
-        a, fa, b, fb = b, fb, c, fc
-        if abs(b - a) < tol:
-            break
-    return b
+def _center_of_mass(x1, y1, x2, y2, m1, m2):
+    """Center of mass (cx, cy), its distance a to body 1 and the distance d
+    between the bodies; floats or arrays alike.
+
+    m1 sinh(2 a) = m2 sinh(2 (d - a)) solves to
+    e^(4a) = (m1 + m2 e^(2d)) / (m1 + m2 e^(-2d)), written with log1p and
+    expm1 so it keeps full precision at small and large d alike.
+    """
+    d = separation(x1, y1, x2, y2)
+    ratio = (m2 - m1) * -np.expm1(-2.0 * d) / (m1 + m2 * np.exp(-2.0 * d))
+    a = 0.5 * d + 0.25 * np.log1p(ratio)
+    tx, ty = geodesic_direction(x1, y1, x2, y2)
+    cx, cy, _, _ = exponential_map(x1, y1, tx, ty, a)
+    return cx, cy, a, d
 
 
 def center_of_mass(q1: Point, q2: Point, params: Params) -> CenterOfMassSplit:
     """Point on the connecting geodesic where m1 sinh(2 d1) = m2 sinh(2 d2).
 
-    d1 and d2 are the arc distances to bodies 1 and 2. The balance function
-    is strictly monotone, so the root is unique; it is found by bisection
-    with a secant polish to 1e-13 in arc length.
+    d1 and d2 are the arc distances to bodies 1 and 2; the balance has the
+    closed-form root of _center_of_mass.
     """
-    geo = geodesic_through(q1, q2)
-    s1 = arc_coordinate(geo, q1)
-    s2 = arc_coordinate(geo, q2)
-    d = abs(s2 - s1)
-    direction = 1.0 if s2 > s1 else -1.0
-
-    def balance(t):
-        return params.m1 * math.sinh(2.0 * t) - params.m2 * math.sinh(2.0 * (d - t))
-
-    t = _bisect_secant(balance, 0.0, d, 1e-13)
-    com = geodesic_point_at(geo, s1 + direction * t).base
-    return CenterOfMassSplit(com=com, d1=t, d2=d - t)
+    cx, cy, a, d = _center_of_mass(q1.x, q1.y, q2.x, q2.y, params.m1, params.m2)
+    return CenterOfMassSplit(com=Point(float(cx), float(cy)), d1=float(a), d2=float(d - a))
 
 
 def _check_distances(**named: float) -> None:
@@ -176,10 +145,9 @@ def to_canonical(q1: Point, q2: Point, params: Params) -> CanonicalForm:
     unit half-circle; if body 1 lands in the second quadrant, a quarter
     turn (z -> -1/z) flips the circle so it lands in the first.
     """
-    split = center_of_mass(q1, q2, params)
-    geo = geodesic_through(q1, q2)
-    tangent = geodesic_point_at(geo, arc_coordinate(geo, split.com))
-    g = normalizing_isometry(split.com, math.atan2(tangent.vy, tangent.vx))
+    com = center_of_mass(q1, q2, params).com
+    tx, ty = geodesic_direction(com.x, com.y, q2.x, q2.y)
+    g = normalizing_isometry(com, math.atan2(ty, tx))
     img1 = moebius_act(g, q1)
     if img1.x < 0.0:
         g = _QUARTER_TURN.compose(g)
@@ -349,7 +317,7 @@ def build_relative_equilibrium(
     within 1e-9 relative, else MassDistanceMismatch. ``sign`` picks the
     sense of motion. The construction cross-checks the intrinsic and
     canonical-angle rate formulas and the criticality of the augmented
-    potential before returning.
+    potential before returning, and raises OracleMismatch if either fails.
     """
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
@@ -368,7 +336,7 @@ def build_relative_equilibrium(
     omega2_alt = 2.0 * params.k * params.m2 / (math.sinh(d) ** 2 * math.sinh(2.0 * d1))
     omega2_trig = _omega2_canonical(theta1, theta2, params)
     if abs(omega2 - omega2_trig) > 1e-10 * omega2 or abs(omega2 - omega2_alt) > 1e-8 * omega2:
-        raise ValueError(
+        raise OracleMismatch(
             "rate formulas disagree: intrinsic "
             f"{omega2:.17g} / {omega2_alt:.17g}, canonical {omega2_trig:.17g}"
         )
@@ -382,7 +350,7 @@ def build_relative_equilibrium(
     # the gradient's terms scale like the force k m1 m2 / sinh(d)^2
     force = params.k * params.m1 * params.m2 / math.sinh(d) ** 2
     if float(np.linalg.norm(grad)) > 1e-8 * max(1.0, force):
-        raise ValueError(
+        raise OracleMismatch(
             f"augmented potential is not critical (|grad| = {np.linalg.norm(grad):.3e})"
         )
 
@@ -404,24 +372,40 @@ def initial_state(re: RelativeEquilibrium) -> PhaseState:
     return legendre(re.config, re.params, re.xi)
 
 
+def _one_plus_u_sin(u, s, cw, sw):
+    """1 + u sin(w) for u = tanh(d), s = sech(d), without cancellation.
+
+    Near u = 1 it is (1 + sin) - (1 - u) sin with 1 - u = s^2 / (1 + u),
+    and 1 + sin = cos^2 / (1 - sin) where sin < 0. Below u = 1/2 the direct
+    form is accurate to rounding and the split would cancel instead.
+    """
+    if u < 0.5:
+        return 1.0 + u * sw
+    one_plus = np.where(sw >= 0.0, 1.0 + sw, cw * cw / (1.0 + np.abs(sw)))
+    return one_plus - s * s / (1.0 + u) * sw
+
+
 def analytic_states(re: RelativeEquilibrium, ts) -> np.ndarray:
     """Exact states at the times ts, as an (..., 8) array.
 
     Hyperbolic family: both bodies slide along the common geodesic, the
     canonical picture scaled by exp(omega t). Elliptic family: rigid
     rotation of the unit circle about (0, 1). Momenta come from the
-    generator at the transported configuration.
+    generator at the transported configuration. Positions are built from
+    u = tanh(d) and s = sech(d) of each body.
     """
     w = re.omega * np.asarray(ts, dtype=float)
-    c1, s1 = math.cos(re.theta1), math.sin(re.theta1)
-    c2, s2 = math.cos(re.theta2), math.sin(re.theta2)
+    u1, s1 = math.tanh(re.d1), 1.0 / math.cosh(re.d1)
+    u2, s2 = math.tanh(re.d2), 1.0 / math.cosh(re.d2)
     if re.family is Family.HYPERBOLIC:
         lam = np.exp(w)
-        x1, y1, x2, y2 = lam * c1, lam * s1, -lam * c2, lam * s2
+        x1, y1, x2, y2 = lam * u1, lam * s1, -lam * u2, lam * s2
     else:
         cw, sw = np.cos(w), np.sin(w)
-        x1, y1 = c1 * cw / (1.0 + c1 * sw), s1 / (1.0 + c1 * sw)
-        x2, y2 = -c2 * cw / (1.0 - c2 * sw), s2 / (1.0 - c2 * sw)
+        f1 = _one_plus_u_sin(u1, s1, cw, sw)
+        f2 = _one_plus_u_sin(u2, s2, cw, -sw)
+        x1, y1 = u1 * cw / f1, s1 / f1
+        x2, y2 = -u2 * cw / f2, s2 / f2
     p = generator_momenta(re.xi, x1, y1, x2, y2, re.params)
     return np.stack([x1, y1, x2, y2, *p], axis=-1)
 
@@ -485,42 +469,28 @@ def intrinsic_checks(re: RelativeEquilibrium, n_samples: int = 16) -> IntrinsicR
         speeds = (w * math.sinh(re.d1), w * math.sinh(re.d2))
         t_max = re.period
     times = np.linspace(0.0, t_max, n_samples, endpoint=False)
+    z = analytic_states(re, times)
 
-    verdicts = set()
-    max_perp = 0.0
-    max_speed_err = 0.0
-    max_com_err = 0.0
-    for t, (x1, y1, x2, y2, *_) in zip(times, analytic_states(re, times).tolist()):
-        q1, q2 = Point(x1, y1), Point(x2, y2)
-        geo = geodesic_through(q1, q2)
-        v1 = infinitesimal_generator(re.xi, q1)
-        v2 = infinitesimal_generator(re.xi, q2)
-        for v, expected_speed in ((v1, speeds[0]), (v2, speeds[1])):
-            tangent = geodesic_point_at(geo, arc_coordinate(geo, v.base))
-            max_perp = max(
-                max_perp,
-                abs(hyperbolic_inner(v, tangent))
-                / (v.hyperbolic_norm() * tangent.hyperbolic_norm()),
-            )
-            max_speed_err = max(
-                max_speed_err, abs(v.hyperbolic_norm() - expected_speed)
-            )
-        verdicts.add(normal_orientation(geo, v1, v2))
+    # columns: body 1, body 2; each looks along the geodesic at the other
+    x, y = z[:, [0, 2]], z[:, [1, 3]]
+    tx, ty = geodesic_direction(x, y, z[:, [2, 0]], z[:, [3, 1]])
+    vx, vy = generator_field(re.xi, x, y)
+    vnorm = np.hypot(vx, vy)
+    max_perp = float(np.max(np.abs(vx * tx + vy * ty) / vnorm))
+    max_speed_err = float(np.max(np.abs(vnorm / y - np.array(speeds))))
+    # the two tangents point opposite ways, so equal sides flip one sign
+    det = np.sign(tx * vy - ty * vx)
+    verdicts = np.unique(-det[:, 0] * det[:, 1] > 0.0)
 
-        split = center_of_mass(q1, q2, re.params)
-        if re.family is Family.HYPERBOLIC:
-            com_expected = Point(0.0, math.exp(re.omega * t))
-        else:
-            com_expected = Point(0.0, 1.0)
-        max_com_err = max(
-            max_com_err, hyperbolic_distance(split.com, com_expected)
-        )
+    cx, cy, _, _ = _center_of_mass(*z[:, :4].T, re.params.m1, re.params.m2)
+    com_y = np.exp(re.omega * times) if re.family is Family.HYPERBOLIC else 1.0
+    max_com_err = float(np.max(separation(cx, cy, 0.0, com_y)))
 
-    consistent = len(verdicts) == 1
-    verdict = next(iter(verdicts)) if consistent else None
+    verdict = None
+    if verdicts.size == 1:
+        verdict = Orientation.EQUAL if verdicts[0] else Orientation.OPPOSITE
     ok = (
-        consistent
-        and verdict is expected
+        verdict is expected
         and max_perp <= 1e-9
         and max_speed_err <= 1e-9 * max(1.0, speeds[0], speeds[1])
         and max_com_err <= 1e-9
@@ -530,7 +500,7 @@ def intrinsic_checks(re: RelativeEquilibrium, n_samples: int = 16) -> IntrinsicR
         n_samples=len(times),
         expected_orientation=expected,
         orientation=verdict,
-        orientation_consistent=consistent,
+        orientation_consistent=verdict is not None,
         expected_speeds=speeds,
         max_speed_error=max_speed_err,
         max_perp_residual=max_perp,

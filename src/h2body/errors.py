@@ -14,16 +14,8 @@ class CoincidentPoints(H2BodyError):
     """Two points that must be distinct agree within tolerance."""
 
 
-class NotOnGeodesic(H2BodyError):
-    """A point expected to lie on a given geodesic does not."""
-
-
-class NotPerpendicular(H2BodyError):
-    """A vector expected to be normal to a geodesic has a tangential part."""
-
-
-class ZeroVector(H2BodyError):
-    """A direction argument has zero length."""
+class OracleMismatch(H2BodyError):
+    """A closed form disagrees with its independent cross-check."""
 
 
 class Collision(H2BodyError):

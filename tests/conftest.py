@@ -70,6 +70,36 @@ def random_balanced_re(rng, family, d1_range=(0.15, 1.3), c_range=(0.25, 4.0)):
     return build_relative_equilibrium(family, d1, d2, params, sign=sign)
 
 
+def _bisect_secant(f, lo, hi, tol):
+    """Root of f on a sign-changing bracket: bisection, secant polish.
+
+    The numerical oracle for the closed-form center-of-mass offset.
+    """
+    flo = f(lo)
+    for _ in range(52):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if flo * fm <= 0.0:
+            hi = mid
+        else:
+            lo, flo = mid, fm
+        if hi - lo < 1e-6:
+            break
+    a, b = lo, hi
+    fa, fb = f(a), f(b)
+    for _ in range(60):
+        if fb == fa:
+            break
+        c = b - fb * (b - a) / (fb - fa)
+        if not lo - 1e-9 <= c <= hi + 1e-9:
+            c = 0.5 * (a + b)
+        fc = f(c)
+        a, fa, b, fb = b, fb, c, fc
+        if abs(b - a) < tol:
+            break
+    return b
+
+
 def fd_gradient(f, x, h=1e-6):
     """Central-difference gradient of a scalar function of a vector."""
     x = np.asarray(x, dtype=float)

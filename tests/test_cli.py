@@ -111,6 +111,17 @@ class TestEquilibriumCommand:
         assert code == 0
         assert json.loads(out)["d1"] == 18.0
 
+    @pytest.mark.parametrize(
+        "family, d1",
+        [("elliptic", d) for d in ("5", "6", "8", "12", "16", "18", "19")]
+        + [("hyperbolic", "19")],
+    )
+    def test_far_apart_bodies_pass_the_intrinsic_checks(self, capsys, family, d1):
+        # nearly vertical chords and centers of mass far along the geodesic
+        code, out, err = run(capsys, "equilibrium", family, d1)
+        assert code == 0, err
+        assert json.loads(out)["intrinsic"]["ok"] is True
+
     def test_unknown_family_rejected_by_parser(self):
         with pytest.raises(SystemExit) as exc:
             main(["equilibrium", "parabolic", "0.5"])
@@ -397,6 +408,44 @@ class TestErrorPlumbing:
         assert "oracle mismatch" in err
         # the document is still emitted so the mismatch can be inspected
         assert json.loads(out)["oracles_agree"] is False
+
+    def test_failed_intrinsic_check_exits_5(self, capsys, monkeypatch):
+        import dataclasses
+
+        import h2body.cli as cli_mod
+
+        exact = cli_mod.intrinsic_checks
+        monkeypatch.setattr(
+            cli_mod,
+            "intrinsic_checks",
+            lambda re: dataclasses.replace(exact(re), ok=False),
+        )
+        code, out, err = run(capsys, "equilibrium", "elliptic", "0.5")
+        assert code == 5
+        assert "intrinsic check failed" in err
+        # the document is still emitted so the failure can be inspected
+        assert json.loads(out)["intrinsic"]["ok"] is False
+
+    @pytest.mark.parametrize("command", ["equilibrium", "perturb"])
+    def test_detuned_rate_exits_5(self, capsys, tmp_path, monkeypatch, command):
+        # the criticality cross-check of build_relative_equilibrium is an
+        # oracle mismatch, not an input error
+        import h2body.equilibria as eq
+
+        exact = eq.augmented_potential_gradient
+        monkeypatch.setattr(
+            eq,
+            "augmented_potential_gradient",
+            lambda config, params, xi: exact(config, params, xi * (1.0 + 1e-6)),
+        )
+        if command == "equilibrium":
+            argv = ("equilibrium", "elliptic", "0.5")
+        else:
+            argv = ("perturb", "--scenario", TestPerturbCommand._scenario(tmp_path))
+        code, out, err = run(capsys, *argv)
+        assert code == 5
+        assert "not critical" in err
+        assert out == ""
 
     def test_threshold_residual_exits_5(self, capsys, monkeypatch):
         import h2body.cli as cli_mod

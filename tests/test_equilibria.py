@@ -9,10 +9,12 @@ from h2body import (
     Family,
     MassDistanceMismatch,
     NonPositiveDistance,
+    OracleMismatch,
     Orientation,
     OutOfRange,
     Params,
     Point,
+    TangentVector,
     admissible_generators,
     analytic_trajectory,
     augmented_potential_gradient,
@@ -21,7 +23,7 @@ from h2body import (
     canonical_configuration,
     center_of_mass,
     distance_of_angle,
-    geodesic_through,
+    geodesic_point_at,
     hamiltonian,
     hamiltonian_vector_field,
     hyperbolic_distance,
@@ -33,7 +35,16 @@ from h2body import (
     to_canonical,
 )
 
-from conftest import random_balanced_re, random_group, random_point
+from conftest import _bisect_secant, random_balanced_re, random_group, random_point
+
+
+def pair_at_distance(rng, d):
+    """A random point and the point at distance d from it in a random
+    direction."""
+    a = random_point(rng)
+    phi = float(rng.uniform(-math.pi, math.pi))
+    b = geodesic_point_at(TangentVector(a, math.cos(phi), math.sin(phi)), d).base
+    return a, b
 
 
 class TestCenterOfMass:
@@ -65,7 +76,7 @@ class TestCenterOfMass:
             assert split.d1 + split.d2 == pytest.approx(d, abs=1e-11)
             lhs = m1 * math.sinh(2.0 * split.d1)
             rhs = m2 * math.sinh(2.0 * split.d2)
-            assert lhs == pytest.approx(rhs, rel=1e-10)
+            assert lhs == pytest.approx(rhs, rel=1e-10, abs=0.0)
             # the point really is on the connecting geodesic at distance d1
             assert hyperbolic_distance(a, split.com) == pytest.approx(
                 split.d1, abs=1e-10
@@ -81,6 +92,36 @@ class TestCenterOfMass:
             moved = center_of_mass(moebius_act(g, a), moebius_act(g, b), params)
             expected = moebius_act(g, center_of_mass(a, b, params).com)
             assert hyperbolic_distance(moved.com, expected) < 1e-9
+
+    @pytest.mark.parametrize("c", [1e-3, 0.1, 1.0 / 3.0, 1.0, 3.0, 10.0, 1e3])
+    def test_closed_form_matches_bisection_oracle(self, rng, c):
+        # the closed-form offset against a root of the balance function
+        params = Params(c, 1.0)
+        for d in np.geomspace(1e-6, 17.0, 40):
+            a, b = pair_at_distance(rng, float(d))
+            dist = hyperbolic_distance(a, b)
+
+            def balance(t):
+                return c * math.sinh(2.0 * t) - math.sinh(2.0 * (dist - t))
+
+            root = _bisect_secant(balance, 0.0, dist, 1e-13)
+            split = center_of_mass(a, b, params)
+            assert split.d1 == pytest.approx(root, abs=1e-13 * max(1.0, dist))
+
+    @pytest.mark.parametrize("c", [1e-3, 0.1, 1.0, 10.0, 1e3])
+    def test_lies_on_the_geodesic_up_to_large_distances(self, rng, c):
+        # past d = 17 the bisection stalls in sinh, so the check is the
+        # geodesic defect: the center splits the distance exactly
+        params = Params(c, 1.0)
+        for d in np.geomspace(1e-6, 38.0, 60):
+            a, b = pair_at_distance(rng, float(d))
+            split = center_of_mass(a, b, params)
+            defect = (
+                hyperbolic_distance(a, split.com)
+                + hyperbolic_distance(split.com, b)
+                - hyperbolic_distance(a, b)
+            )
+            assert abs(defect) <= 1e-12
 
 
 class TestPartnerDistance:
@@ -303,7 +344,7 @@ class TestBuildRelativeEquilibrium:
             "augmented_potential_gradient",
             lambda config, params, xi: exact(config, params, xi * (1.0 + 1e-6)),
         )
-        with pytest.raises(ValueError, match="not critical"):
+        with pytest.raises(OracleMismatch, match="not critical"):
             build_relative_equilibrium(family, d1, d1, params)
 
     def test_generator_direction_per_family(self, rng):
@@ -426,3 +467,18 @@ class TestIntrinsicChecks:
         re = random_balanced_re(rng, Family.ELLIPTIC)
         rep = intrinsic_checks(re, n_samples=8)
         assert rep.max_perp_residual < 1e-10
+
+    @pytest.mark.parametrize("family", [Family.ELLIPTIC, Family.HYPERBOLIC])
+    @pytest.mark.parametrize("c", [0.1, 1.0 / 3.0, 1.0, 3.0, 10.0])
+    def test_passes_across_the_supported_distances(self, family, c):
+        # near-vertical and far-apart chords included; only distances
+        # outside the binary64 domain are skipped
+        params = Params(c, 1.0)
+        for d1 in np.geomspace(1e-4, 19.0, 40):
+            try:
+                d2 = partner_distance(float(d1), params)
+                re = build_relative_equilibrium(family, float(d1), d2, params)
+            except OutOfRange:
+                continue
+            rep = intrinsic_checks(re)
+            assert rep.ok, (float(d1), rep.as_dict())
