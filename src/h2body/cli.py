@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -93,6 +94,12 @@ def _num(obj, path, key, positive=False):
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ScenarioError(f"{path}.{key} must be a number")
+    try:
+        finite = math.isfinite(v)  # JSON admits NaN and Infinity
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ScenarioError(f"{path}.{key} must be finite, got {v!r}")
     if positive and not v > 0:
         raise ScenarioError(f"{path}.{key} must be positive, got {v!r}")
     return float(v)
@@ -191,6 +198,7 @@ def cmd_simulate(args) -> int:
         "samples": int(record.t.size),
         "t_final": float(record.t[-1]),
         "drift": conservation_report(record),
+        "stats": record.stats,
     }
     _emit(doc, report_path)
     return code

@@ -112,14 +112,18 @@ def _potential_gradient(x1, y1, x2, y2, kmm):
     """
     dx = x1 - x2
     dy = y1 - y2
-    a = dx * dx + dy * dy
-    u = a / (2.0 * y1 * y2)
+    half = 0.5 * (dx * dx + dy * dy)
+    yy = y1 * y2
+    u = half / yy
     # sinh(d)^2 = cosh(d)^2 - 1 factored as u (2 + u); the squared form
-    # cancels catastrophically once the bodies are close
-    pre = kmm / (u * (2.0 + u)) ** 1.5
-    gx1 = pre * dx / (y1 * y2)
-    gy1 = pre * (dy / (y1 * y2) - a / (2.0 * y1 * y1 * y2))
-    gy2 = pre * (-dy / (y1 * y2) - a / (2.0 * y1 * y2 * y2))
+    # cancels catastrophically once the bodies are close. w sqrt(w) rather
+    # than w ** 1.5: sqrt rounds correctly, so floats and arrays agree bit
+    # for bit, where numpy's vectorized pow and the scalar one can differ
+    w = u * (2.0 + u)
+    c = kmm / (w * np.sqrt(w)) / yy
+    gx1 = c * dx
+    gy1 = c * (dy - half / y1)
+    gy2 = -c * (dy + half / y2)
     return gx1, gy1, -gx1, gy2
 
 
@@ -185,8 +189,10 @@ def _field_array(z, m1, m2, k):
     """Array-in, array-out equations of motion; hot path for integrators."""
     x1, y1, x2, y2, px1, py1, px2, py2 = z
     gx1, gy1, gx2, gy2 = _potential_gradient(x1, y1, x2, y2, k * m1 * m2)
-    r1 = y1 * y1 / m1
-    r2 = y2 * y2 / m2
+    s1 = y1 / m1
+    s2 = y2 / m2
+    r1 = s1 * y1
+    r2 = s2 * y2
     return np.array(
         [
             r1 * px1,
@@ -194,9 +200,9 @@ def _field_array(z, m1, m2, k):
             r2 * px2,
             r2 * py2,
             -gx1,
-            -(y1 / m1) * (px1 * px1 + py1 * py1) - gy1,
+            -gy1 - s1 * (px1 * px1 + py1 * py1),
             -gx2,
-            -(y2 / m2) * (px2 * px2 + py2 * py2) - gy2,
+            -gy2 - s2 * (px2 * px2 + py2 * py2),
         ]
     )
 

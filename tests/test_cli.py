@@ -242,7 +242,7 @@ class TestSimulateCommand:
         assert report["completed"] is False
         assert report["error"] == "collision"
         rec = read_trajectory_csv(outdir / "trajectory.csv")
-        assert rec.distance[-1] == pytest.approx(1e-8, rel=1e-2)
+        assert rec.distance[-1] == pytest.approx(1e-8, rel=1e-2, abs=0.0)
 
     def test_rel_tol_override_loosens_drift(self, capsys, tmp_path):
         scenario, _ = simulate_scenario(tmp_path)
@@ -289,6 +289,35 @@ class TestSimulateCommand:
         assert code == 2
         assert "cannot read scenario" in err
 
+    def test_conservation_report_carries_counters(self, capsys, tmp_path):
+        scenario, _ = simulate_scenario(tmp_path)
+        outdir = tmp_path / "out"
+        assert run(capsys, "simulate", "--scenario", scenario, "--out", str(outdir))[0] == 0
+        stats = json.loads((outdir / "conservation.json").read_text())["stats"]
+        assert set(stats) == {"nfev", "accepted", "rejected"}
+        # two field calls choose the first step, then six per attempted step
+        assert stats["nfev"] == 2 + 6 * (stats["accepted"] + stats["rejected"])
+
+    def test_step_underflow_exits_4_with_partial_record(self, capsys, tmp_path, monkeypatch):
+        # a field that blows up in finite time (y' = y^2 in every entry, so
+        # y2 = 1.2 diverges at t = 1/1.2) drives the real engine to underflow
+        import h2body.sim as sim_mod
+
+        monkeypatch.setattr(sim_mod, "_field_array", lambda z, m1, m2, k: z * z)
+        start = dict.fromkeys(("x1", "x2", "px1", "py1", "px2", "py2"), 0.0)
+        scenario, _ = simulate_scenario(
+            tmp_path, initial_state={**start, "y1": 1.0, "y2": 1.2}, integrator={"t_end": 2.0}
+        )
+        outdir = tmp_path / "out"
+        code, _, err = run(capsys, "simulate", "--scenario", scenario, "--out", str(outdir))
+        assert code == 4
+        assert err.startswith("error: step size underflow at t = 0.8333")
+        report = json.loads((outdir / "conservation.json").read_text())
+        assert report["completed"] is False
+        assert report["error"] == "step_underflow"
+        assert 0.8 < report["t_final"] < 1.0 / 1.2
+        assert report["stats"]["accepted"] > 0
+
     def test_bad_initial_state_exits_2(self, capsys, tmp_path):
         scenario, _ = simulate_scenario(tmp_path)
         doc = json.loads(open(scenario).read())
@@ -327,6 +356,18 @@ class TestPerturbCommand:
         assert doc["protocol"]["seed"] == 7
         assert doc["max_distance_deviation"] < 1e-2
         assert len(doc["trials"]) == 2
+
+    def test_report_carries_counters(self, capsys, tmp_path):
+        scenario = self._scenario(tmp_path)
+        code, out, _ = run(capsys, "perturb", "--scenario", scenario)
+        assert code == 0
+        doc = json.loads(out)
+        attempts = []
+        for trial in doc["trials"]:
+            assert set(trial["stats"]) == {"accepted", "rejected"}
+            attempts.append(trial["stats"]["accepted"] + trial["stats"]["rejected"])
+        # one batch: the field runs once per stage of the longest row
+        assert doc["stats"] == {"nfev": 2 + 6 * max(attempts)}
 
     def test_seed_override(self, capsys, tmp_path):
         scenario = self._scenario(tmp_path)
@@ -378,6 +419,80 @@ def test_distance_past_the_binary64_domain_exits_2(capsys, tmp_path, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
+
+
+def _src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(h2body.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _non_finite_case(tmp_path, case):
+    """Scenario path and extra flags for one invalid-number case."""
+    if case.startswith("perturb"):
+        doc = json.loads(open(TestPerturbCommand._scenario(tmp_path)).read())
+        if case == "perturb-horizon-inf":
+            del doc["protocol"]["horizon_periods"]
+            doc["protocol"]["horizon"] = math.inf
+        else:
+            doc["integrator"] = {"rel_tol": 1e-15}
+        return "perturb", write_json(tmp_path / "p.json", doc), []
+    doc = json.loads(open(simulate_scenario(tmp_path)[0]).read())
+    flags = []
+    if case == "simulate-rel_tol-inf":
+        doc["integrator"]["rel_tol"] = math.inf
+    elif case == "simulate-k-inf":
+        doc["params"]["k"] = math.inf
+    elif case == "simulate-state-nan":
+        doc["initial_state"]["x1"] = math.nan
+    elif case == "simulate-t_end-huge-int":
+        doc["integrator"]["t_end"] = 10 ** 400
+    elif case == "simulate-rel_tol-below-floor":
+        doc["integrator"]["rel_tol"] = 2e-14
+    else:
+        flags = ["--rel-tol", "inf"]
+    return "simulate", write_json(tmp_path / "s.json", doc), flags
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "simulate-rel_tol-inf",
+        "simulate-k-inf",
+        "simulate-state-nan",
+        "simulate-t_end-huge-int",
+        "simulate-rel_tol-below-floor",
+        "simulate-rel-tol-flag-inf",
+        "perturb-horizon-inf",
+        "perturb-rel_tol-below-floor",
+    ],
+)
+def test_non_finite_or_sub_floor_numbers_exit_2(tmp_path, case):
+    # JSON admits NaN and Infinity; each must be refused up front, in a
+    # fresh process that would otherwise run without end or crash
+    command, scenario, flags = _non_finite_case(tmp_path, case)
+    argv = [command, "--scenario", scenario, *flags]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "out")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "h2body.cli", *argv],
+        capture_output=True, text=True, cwd=tmp_path, env=_src_env(), timeout=30,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:")
+
+
+def test_cli_import_leaves_scipy_out(tmp_path):
+    # scipy is a test-side oracle only; the program runs on numpy alone
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, h2body.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, cwd=tmp_path, env=_src_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestErrorPlumbing:
@@ -470,9 +585,6 @@ def test_console_script_installed(tmp_path):
     with pyproject.open("rb") as fh:
         target = tomllib.load(fh)["project"]["scripts"]["h2body"]
     module, attr = target.split(":")
-    src = str(Path(h2body.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [
             sys.executable,
@@ -485,7 +597,7 @@ def test_console_script_installed(tmp_path):
         capture_output=True,
         text=True,
         cwd=tmp_path,
-        env=env,
+        env=_src_env(),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp as scipy_solve_ivp
 
+import h2body.sim as sim_mod
 from h2body import (
     CollisionDuringIntegration,
     Family,
@@ -29,6 +31,8 @@ from h2body import (
     record_from_states,
     write_trajectory_csv,
 )
+from h2body.dynamics import _field_array
+from h2body.geom import separation
 
 
 def _equal_mass_elliptic(u=0.4, k=1.0, sign=1):
@@ -95,6 +99,22 @@ class TestIntegratorConfig:
             IntegratorConfig(t_end=1.0, max_step=-1.0)
         with pytest.raises(ValueError):
             IntegratorConfig(t_end=1.0, sample_dt=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("t_end", math.inf), ("t_end", math.nan), ("rel_tol", math.inf),
+         ("abs_tol", math.nan), ("max_step", math.inf), ("sample_dt", math.nan),
+         ("rel_tol", 2.2e-14)],
+    )
+    def test_rejects_non_finite_values_and_sub_ulp_rel_tol(self, field, value):
+        # rel_tol must be at least 100 ulps (2.22e-14)
+        kwargs = {"t_end": 1.0, field: value}
+        with pytest.raises(ValueError):
+            IntegratorConfig(**kwargs)
+
+    def test_rel_tol_floor_is_accepted(self):
+        assert sim_mod.RTOL_FLOOR == 100 * np.finfo(float).eps
+        IntegratorConfig(t_end=1.0, rel_tol=sim_mod.RTOL_FLOOR)
 
     def test_default_grid(self):
         ts = IntegratorConfig(t_end=2.0).sample_times()
@@ -248,7 +268,7 @@ class TestIntegrate:
         assert rec is not None
         assert not rec.completed
         assert rec.error == "collision"
-        assert rec.distance[-1] == pytest.approx(1e-8, rel=1e-2)
+        assert rec.distance[-1] == pytest.approx(1e-8, rel=1e-2, abs=0.0)
         assert rec.t[-1] < 5.0
 
     def test_sample_grid_respected(self):
@@ -335,3 +355,165 @@ class TestPerturbation:
             )
             devs.append(perturb_and_measure(exp)["max_distance_deviation"])
         assert devs[0] > devs[1] > devs[2]
+
+
+def _rhs(params):
+    return lambda t, z: _field_array(z, params.m1, params.m2, params.k)
+
+
+def _kicked_starts(re, n, size=1e-4, seed=5):
+    # columns are kicked copies of the equilibrium state
+    z0 = initial_state(re).as_array()
+    kicks = np.random.default_rng(seed).standard_normal((8, n))
+    return z0[:, None] + kicks * (size / np.linalg.norm(kicks, axis=0))
+
+
+def _escape_event(re, threshold=0.5):
+    r0 = float(re.distance)
+
+    def escape(t, z):
+        return abs(separation(z[0], z[1], z[2], z[3]) - r0) - threshold
+
+    escape.terminal = True
+    return escape
+
+
+class TestEngine:
+    """The in-house Dormand-Prince 5(4) against scipy's RK45, an
+    independent implementation of the same method, and batch rows against
+    lone runs."""
+
+    def test_one_trajectory_matches_scipy_rk45_over_100_periods(self):
+        re = _equal_mass_elliptic()
+        state = _kicked_bound_state(re)
+        cfg = IntegratorConfig(
+            t_end=100.0 * re.period, rel_tol=1e-9, abs_tol=1e-11, sample_dt=re.period / 8
+        )
+        rec = integrate(state, re.params, cfg)
+        ref = scipy_solve_ivp(
+            _rhs(re.params), (0.0, cfg.t_end), state.as_array(), method="RK45",
+            rtol=cfg.rel_tol, atol=cfg.abs_tol, t_eval=cfg.sample_times(),
+        )
+        assert ref.status == 0
+        np.testing.assert_array_equal(rec.t, ref.t)
+        np.testing.assert_allclose(rec.states, ref.y.T, rtol=0.0, atol=1e-9)
+        # the same controller takes (nearly) the same steps
+        assert abs(rec.stats["nfev"] - ref.nfev) <= 0.01 * ref.nfev
+
+    @pytest.mark.parametrize("u, periods", [(0.4, 3.0), (0.8, 20.0)])
+    def test_batch_rows_match_lone_runs(self, u, periods):
+        # stable rows run the whole span; unstable ones retire at escape
+        re = _equal_mass_elliptic(u=u)
+        starts = _kicked_starts(re, 5)
+        events = (sim_mod._collision_event, _escape_event(re))
+        span = (0.0, periods * re.period)
+        batch = sim_mod.solve_ivp(_rhs(re.params), span, starts, rtol=1e-10, atol=1e-12,
+                                  events=events)
+        for i in range(starts.shape[1]):
+            one = sim_mod.solve_ivp(_rhs(re.params), span, starts[:, i], rtol=1e-10,
+                                    atol=1e-12, events=events)
+            assert batch.status[i] == one.status == (1 if u > 0.5 else 0)
+            assert (batch.accepted[i], batch.rejected[i]) == (one.accepted, one.rejected)
+            np.testing.assert_allclose(batch.t[i], one.t, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(batch.y[i], one.y, rtol=1e-12, atol=0.0)
+            for mine, lone in zip(batch.t_events[i], one.t_events):
+                np.testing.assert_allclose(mine, lone, rtol=1e-12, atol=0.0)
+
+    def test_trials_do_not_depend_on_n_trials(self):
+        re = _equal_mass_elliptic(u=0.8)
+        few, many = (
+            perturb_and_measure(PerturbationExperiment(
+                re, scale=1e-4, n_trials=n, horizon=re.period, seed=4242))
+            for n in (2, 5)
+        )
+        assert few["trials"] == many["trials"][:2]
+
+    def test_escape_times_match_scipy(self):
+        re = _equal_mass_elliptic(u=0.8)
+        escape = _escape_event(re)
+        starts = _kicked_starts(re, 3)
+        span = (0.0, 2.0 * re.period)
+        batch = sim_mod.solve_ivp(_rhs(re.params), span, starts, rtol=1e-10, atol=1e-12,
+                                  events=escape)
+        for i in range(starts.shape[1]):
+            ref = scipy_solve_ivp(_rhs(re.params), span, starts[:, i], method="RK45",
+                                  rtol=1e-10, atol=1e-12, events=escape)
+            assert ref.status == batch.status[i] == 1
+            assert batch.t_events[i][0][0] == pytest.approx(ref.t_events[0][0], rel=0.0, abs=1e-9)
+            assert batch.t[i][-1] == batch.t_events[i][0][0]
+
+    def test_collision_time_matches_scipy(self):
+        # radial infall from rest, stopped at the collision cutoff
+        params = Params(1.0, 1.0)
+        state = phase_state(0.0, 1.0, 0.0, 1.2, 0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(CollisionDuringIntegration) as err:
+            integrate(state, params, IntegratorConfig(t_end=5.0))
+        ref = scipy_solve_ivp(_rhs(params), (0.0, 5.0), state.as_array(), method="RK45",
+                              rtol=1e-10, atol=1e-12, events=sim_mod._collision_event)
+        assert ref.status == 1
+        assert err.value.record.t[-1] == pytest.approx(ref.t_events[0][0], rel=0.0, abs=1e-9)
+
+    def test_step_underflow_like_scipy(self):
+        # y' = y^2, y(0) = 1 blows up at t = 1; both engines give up just short of it
+        def blow_up(t, y):
+            return y * y
+
+        ours = sim_mod.solve_ivp(blow_up, (0.0, 2.0), np.array([1.0]), rtol=1e-10, atol=1e-12)
+        ref = scipy_solve_ivp(blow_up, (0.0, 2.0), [1.0], method="RK45", rtol=1e-10, atol=1e-12)
+        assert ours.status == ref.status == -1
+        assert "underflow" in ours.message
+        assert ours.t[-1] == pytest.approx(ref.t[-1], rel=0.0, abs=1e-12)
+        assert 1.0 - ours.t[-1] == pytest.approx(1.6e-11, rel=0.05, abs=0.0)
+        assert ours.nfev == ref.nfev
+
+    def test_rejects_bad_input(self):
+        rhs = _rhs(Params(1.0, 1.0))
+        z = initial_state(_equal_mass_elliptic()).as_array()
+        bad = z.copy()
+        bad[0] = math.nan
+        for kwargs in (
+            dict(y0=bad),
+            dict(y0=z, rtol=1e-16),
+            dict(y0=z, t_span=(0.0, math.inf)),
+            dict(y0=np.column_stack([z, z]), t_eval=[0.0, 1.0]),
+        ):
+            args = {"t_span": (0.0, 1.0), "rtol": 1e-10, "atol": 1e-12, **kwargs}
+            with pytest.raises(ValueError):
+                sim_mod.solve_ivp(rhs, args.pop("t_span"), args.pop("y0"), **args)
+
+
+class TestCounters:
+    """nfev counts the calls of the field; steps are counted per trajectory."""
+
+    @staticmethod
+    def _count_field_calls(monkeypatch):
+        calls = []
+
+        def counted(z, m1, m2, k):
+            calls.append(1)
+            return _field_array(z, m1, m2, k)
+
+        monkeypatch.setattr(sim_mod, "_field_array", counted)
+        return calls
+
+    def test_integrate_stats(self, monkeypatch):
+        calls = self._count_field_calls(monkeypatch)
+        re = _equal_mass_elliptic()
+        rec = integrate(initial_state(re), re.params, IntegratorConfig(t_end=re.period))
+        stats = rec.stats
+        assert stats["nfev"] == len(calls)
+        # two calls choose the first step, then six per attempted step
+        assert stats["nfev"] == 2 + 6 * (stats["accepted"] + stats["rejected"])
+        assert stats["accepted"] > 0
+
+    def test_perturb_stats(self, monkeypatch):
+        calls = self._count_field_calls(monkeypatch)
+        re = _equal_mass_elliptic(u=0.8)
+        report = perturb_and_measure(PerturbationExperiment(
+            re, scale=1e-4, n_trials=4, horizon=re.period, seed=17))
+        assert report["stats"]["nfev"] == len(calls)
+        # the batch calls the field once per stage for all running rows, so
+        # it makes as many attempts as its longest-running row
+        attempts = [t["stats"]["accepted"] + t["stats"]["rejected"] for t in report["trials"]]
+        assert report["stats"]["nfev"] == 2 + 6 * max(attempts)
+        assert min(t["stats"]["accepted"] for t in report["trials"]) > 0
