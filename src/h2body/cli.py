@@ -301,14 +301,14 @@ def cmd_stability(args) -> int:
 
 
 def cmd_threshold_curve(args) -> int:
-    if not 0 < args.c_min < args.c_max:
-        raise ScenarioError("need 0 < c_min < c_max")
+    if not (0 < args.c_min < args.c_max and math.isfinite(args.c_max)):
+        raise ScenarioError("need finite 0 < c_min < c_max")
     if args.n_points < 2:
         raise ScenarioError("n_points must be at least 2")
     rows = []
     for c in np.geomspace(args.c_min, args.c_max, args.n_points):
         point = threshold(float(c))
-        if point.residual >= 1e-12:
+        if not point.residual < 1e-12:  # NaN fails too
             print(
                 f"error: threshold residual {point.residual:.3e} at c={c:.6g}",
                 file=sys.stderr,

@@ -198,6 +198,15 @@ class TestThresholdCurveCommand:
         assert code == 2
         assert "c_min" in err
 
+    @pytest.mark.parametrize("c_min, c_max", [("0.5", "inf"), ("nan", "3"), ("0.5", "nan"), ("-inf", "3")])
+    def test_non_finite_range_exits_2(self, capsys, c_min, c_max):
+        # an infinite c_max used to pass the range check and print inf,nan,nan
+        # rows; "--" lets argparse take "-inf" as a number
+        code, out, err = run(capsys, "threshold-curve", "--", c_min, c_max, "3")
+        assert code == 2
+        assert out == ""
+        assert "c_min" in err
+
 
 class TestSimulateCommand:
     def test_closed_orbit_run(self, capsys, tmp_path):
@@ -294,9 +303,12 @@ class TestSimulateCommand:
         outdir = tmp_path / "out"
         assert run(capsys, "simulate", "--scenario", scenario, "--out", str(outdir))[0] == 0
         stats = json.loads((outdir / "conservation.json").read_text())["stats"]
-        assert set(stats) == {"nfev", "accepted", "rejected"}
-        # two field calls choose the first step, then six per attempted step
+        assert set(stats) == {"nfev", "accepted", "rejected", "dense", "h_min", "h_max"}
+        # a sampled run is DP5(4): two field calls choose the first step,
+        # then six per attempted step, and its interpolants take none
         assert stats["nfev"] == 2 + 6 * (stats["accepted"] + stats["rejected"])
+        assert 0 < stats["dense"] <= stats["accepted"]
+        assert 0.0 < stats["h_min"] <= stats["h_max"]
 
     def test_step_underflow_exits_4_with_partial_record(self, capsys, tmp_path, monkeypatch):
         # a field that blows up in finite time (y' = y^2 in every entry, so
@@ -364,10 +376,12 @@ class TestPerturbCommand:
         doc = json.loads(out)
         attempts = []
         for trial in doc["trials"]:
-            assert set(trial["stats"]) == {"accepted", "rejected"}
+            assert set(trial["stats"]) == {"accepted", "rejected", "dense", "h_min", "h_max"}
+            assert trial["stats"]["dense"] == 0  # no event fires on a stable run
+            assert 0.0 < trial["stats"]["h_min"] <= trial["stats"]["h_max"]
             attempts.append(trial["stats"]["accepted"] + trial["stats"]["rejected"])
-        # one batch: the field runs once per stage of the longest row
-        assert doc["stats"] == {"nfev": 2 + 6 * max(attempts)}
+        # one DOP853 batch: the field runs once per stage of the longest row
+        assert doc["stats"] == {"nfev": 2 + 12 * max(attempts)}
 
     def test_seed_override(self, capsys, tmp_path):
         scenario = self._scenario(tmp_path)
@@ -574,6 +588,20 @@ class TestErrorPlumbing:
         code, _, err = run(capsys, "threshold-curve", "0.5", "2.0", "3")
         assert code == 5
         assert "residual" in err
+
+    def test_nan_threshold_residual_exits_5(self, capsys, monkeypatch):
+        import h2body.cli as cli_mod
+        from h2body.stability import MassRatioCurve
+
+        monkeypatch.setattr(
+            cli_mod,
+            "threshold",
+            lambda c: MassRatioCurve(c=c, u0=math.nan, d1=math.nan, residual=math.nan),
+        )
+        code, out, err = run(capsys, "threshold-curve", "0.5", "2.0", "3")
+        assert code == 5
+        assert out == ""
+        assert "residual nan" in err
 
 
 def test_console_script_installed(tmp_path):

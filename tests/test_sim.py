@@ -379,9 +379,51 @@ def _escape_event(re, threshold=0.5):
 
 
 class TestEngine:
-    """The in-house Dormand-Prince 5(4) against scipy's RK45, an
-    independent implementation of the same method, and batch rows against
-    lone runs."""
+    """The in-house engine against scipy, an independent implementation
+    of the same methods (RK45 for sampled runs, DOP853 otherwise), and
+    batch rows against lone runs."""
+
+    def test_dop853_tableau_matches_scipy(self):
+        from scipy.integrate._ivp import dop853_coefficients as ref
+
+        pair = sim_mod._DOP853
+        np.testing.assert_array_equal(pair.a, ref.A)
+        np.testing.assert_array_equal(pair.c, ref.C)
+        np.testing.assert_array_equal(sim_mod._DOP853_E3, ref.E3)
+        np.testing.assert_array_equal(sim_mod._DOP853_E5, ref.E5)
+        np.testing.assert_array_equal(sim_mod._DOP853_D, ref.D)
+        # consistency: each stage's weights sum to its node, the solution's to 1
+        np.testing.assert_allclose(pair.a.sum(axis=1), pair.c, rtol=0.0, atol=4e-15)
+        assert pair.a[pair.n_stages].sum() == pytest.approx(1.0, rel=0.0, abs=1e-15)
+
+    def test_unsampled_trajectory_matches_scipy_dop853_over_100_periods(self):
+        re = _equal_mass_elliptic()
+        state = _kicked_bound_state(re)
+        span = (0.0, 100.0 * re.period)
+        ours = sim_mod.solve_ivp(_rhs(re.params), span, state.as_array(), rtol=1e-9, atol=1e-11)
+        ref = scipy_solve_ivp(_rhs(re.params), span, state.as_array(), method="DOP853",
+                              rtol=1e-9, atol=1e-11)
+        assert ours.status == ref.status == 0
+        # the same controller takes the same number of steps; their sizes
+        # differ in the last digits of a cancelling error estimate, so the
+        # states are compared where both land, at the end of the span
+        assert ours.t.size == ref.t.size
+        assert abs(ours.nfev - ref.nfev) <= 0.01 * ref.nfev
+        assert ours.t[-1] == ref.t[-1] == span[1]
+        np.testing.assert_allclose(ours.y[:, -1], ref.y[:, -1], rtol=0.0, atol=1e-9)
+
+    def test_unsampled_run_needs_under_40_percent_of_rk45_field_calls(self):
+        # AC-10's stable point, one kicked trial over 20 periods, as perturb runs it
+        re = _equal_mass_elliptic()
+        start = _kicked_starts(re, 1)[:, 0]
+        events = (sim_mod._collision_event, _escape_event(re))
+        span = (0.0, 20.0 * re.period)
+        ours = sim_mod.solve_ivp(_rhs(re.params), span, start, rtol=1e-10, atol=1e-12,
+                                 events=events)
+        ref = scipy_solve_ivp(_rhs(re.params), span, start, method="RK45", rtol=1e-10,
+                              atol=1e-12, events=events)
+        assert ours.status == ref.status == 0
+        assert ours.nfev < 0.4 * ref.nfev
 
     def test_one_trajectory_matches_scipy_rk45_over_100_periods(self):
         re = _equal_mass_elliptic()
@@ -436,7 +478,7 @@ class TestEngine:
         batch = sim_mod.solve_ivp(_rhs(re.params), span, starts, rtol=1e-10, atol=1e-12,
                                   events=escape)
         for i in range(starts.shape[1]):
-            ref = scipy_solve_ivp(_rhs(re.params), span, starts[:, i], method="RK45",
+            ref = scipy_solve_ivp(_rhs(re.params), span, starts[:, i], method="DOP853",
                                   rtol=1e-10, atol=1e-12, events=escape)
             assert ref.status == batch.status[i] == 1
             assert batch.t_events[i][0][0] == pytest.approx(ref.t_events[0][0], rel=0.0, abs=1e-9)
@@ -454,16 +496,18 @@ class TestEngine:
         assert err.value.record.t[-1] == pytest.approx(ref.t_events[0][0], rel=0.0, abs=1e-9)
 
     def test_step_underflow_like_scipy(self):
-        # y' = y^2, y(0) = 1 blows up at t = 1; both engines give up just short of it
+        # y' = y^2, y(0) = 1 blows up at t = 1; both engines give up within
+        # about 1e-11 of it (DOP853 steps just past it)
         def blow_up(t, y):
             return y * y
 
         ours = sim_mod.solve_ivp(blow_up, (0.0, 2.0), np.array([1.0]), rtol=1e-10, atol=1e-12)
-        ref = scipy_solve_ivp(blow_up, (0.0, 2.0), [1.0], method="RK45", rtol=1e-10, atol=1e-12)
+        ref = scipy_solve_ivp(blow_up, (0.0, 2.0), [1.0], method="DOP853", rtol=1e-10,
+                              atol=1e-12)
         assert ours.status == ref.status == -1
         assert "underflow" in ours.message
         assert ours.t[-1] == pytest.approx(ref.t[-1], rel=0.0, abs=1e-12)
-        assert 1.0 - ours.t[-1] == pytest.approx(1.6e-11, rel=0.05, abs=0.0)
+        assert ours.t[-1] - 1.0 == pytest.approx(8.2e-12, rel=0.05, abs=0.0)
         assert ours.nfev == ref.nfev
 
     def test_rejects_bad_input(self):
@@ -483,7 +527,8 @@ class TestEngine:
 
 
 class TestCounters:
-    """nfev counts the calls of the field; steps are counted per trajectory."""
+    """nfev counts the calls of the field; steps and interpolants are
+    counted per trajectory."""
 
     @staticmethod
     def _count_field_calls(monkeypatch):
@@ -501,10 +546,39 @@ class TestCounters:
         re = _equal_mass_elliptic()
         rec = integrate(initial_state(re), re.params, IntegratorConfig(t_end=re.period))
         stats = rec.stats
+        assert set(stats) == {"nfev", "accepted", "rejected", "dense", "h_min", "h_max"}
         assert stats["nfev"] == len(calls)
-        # two calls choose the first step, then six per attempted step
+        # a sampled run is DP5(4): two calls choose the first step, then six
+        # per attempted step, and its quartic interpolants take none
         assert stats["nfev"] == 2 + 6 * (stats["accepted"] + stats["rejected"])
-        assert stats["accepted"] > 0
+        assert 0 < stats["dense"] <= stats["accepted"]
+        # the accepted steps tile [0, t_end], so their mean lies between the bounds
+        assert 0.0 < stats["h_min"] <= re.period / stats["accepted"] <= stats["h_max"]
+
+    def test_lone_run_stats(self, monkeypatch):
+        calls = self._count_field_calls(monkeypatch)
+        re = _equal_mass_elliptic(u=0.8)
+        start = _kicked_starts(re, 1)[:, 0]
+        sol = sim_mod.solve_ivp(
+            lambda t, z: sim_mod._field_array(z, 1.0, 1.0, 1.0), (0.0, 2.0 * re.period), start,
+            rtol=1e-10, atol=1e-12, events=(sim_mod._collision_event, _escape_event(re)),
+        )
+        assert sol.status == 1 and sol.dense == 1
+        # DOP853: twelve calls per attempted step, three per interpolant
+        assert sol.nfev == len(calls) == 2 + 12 * (sol.accepted + sol.rejected) + 3 * sol.dense
+
+    def test_step_range_brackets_every_accepted_step(self):
+        re = _equal_mass_elliptic()
+        span = (0.0, 3.0 * re.period)
+        starts = _kicked_starts(re, 3)
+        lone = sim_mod.solve_ivp(_rhs(re.params), span, starts[:, 0], rtol=1e-10, atol=1e-12)
+        batch = sim_mod.solve_ivp(_rhs(re.params), span, starts, rtol=1e-10, atol=1e-12)
+        runs = [(lone.t, lone.h_min, lone.h_max)]
+        runs += list(zip(batch.t, batch.h_min, batch.h_max))
+        for t, h_min, h_max in runs:
+            steps = np.diff(t)
+            assert steps.min() == h_min and steps.max() == h_max
+            assert np.all((h_min <= steps) & (steps <= h_max))
 
     def test_perturb_stats(self, monkeypatch):
         calls = self._count_field_calls(monkeypatch)
@@ -512,8 +586,13 @@ class TestCounters:
         report = perturb_and_measure(PerturbationExperiment(
             re, scale=1e-4, n_trials=4, horizon=re.period, seed=17))
         assert report["stats"]["nfev"] == len(calls)
+        trials = report["trials"]
+        assert all(t["escaped"] and t["stats"]["dense"] == 1 for t in trials)
         # the batch calls the field once per stage for all running rows, so
-        # it makes as many attempts as its longest-running row
-        attempts = [t["stats"]["accepted"] + t["stats"]["rejected"] for t in report["trials"]]
-        assert report["stats"]["nfev"] == 2 + 6 * max(attempts)
-        assert min(t["stats"]["accepted"] for t in report["trials"]) > 0
+        # it makes as many attempts as its longest-running row; a row builds
+        # its interpolant in its last attempt, one pass of three calls for
+        # all rows that escape in the same attempt
+        attempts = [t["stats"]["accepted"] + t["stats"]["rejected"] for t in trials]
+        passes = len(set(attempts))
+        assert report["stats"]["nfev"] == 2 + 12 * max(attempts) + 3 * passes
+        assert min(t["stats"]["accepted"] for t in trials) > 0
