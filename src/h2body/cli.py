@@ -17,6 +17,7 @@ CSV numbers with 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -397,6 +398,10 @@ def cmd_perturb(args) -> int:
 
 # -- parser --------------------------------------------------------------
 
+# Built on the first main() call and reused: parse_args keeps no state
+# between calls, and building costs more than most subcommands. Every
+# caller gets the same parser, so none may modify it.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="h2body",

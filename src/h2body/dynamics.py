@@ -30,9 +30,14 @@ COLLISION_EPSILON = 1e-8
 _CANONICAL_TOL = 1e-10
 
 
+def _require_positive(name, value):
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Params:
-    """Masses and gravitational coupling, all positive."""
+    """Masses and gravitational coupling, all positive and finite."""
 
     m1: float
     m2: float
@@ -40,8 +45,7 @@ class Params:
 
     def __post_init__(self):
         for name in ("m1", "m2", "k"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+            _require_positive(name, getattr(self, name))
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from .dynamics import (
     _kinetic,
     _momentum,
     _potential,
+    _require_positive,
 )
 from .equilibria import RelativeEquilibrium, analytic_states, initial_state
 from .geom import separation
@@ -100,11 +101,6 @@ _EPS = float(np.finfo(float).eps)
 RTOL_FLOOR = 100 * _EPS
 
 
-def _require_positive(name, value):
-    if not (value > 0.0 and math.isfinite(value)):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-
-
 def _require_tolerances(rel_tol, abs_tol):
     _require_positive("rel_tol", rel_tol)
     _require_positive("abs_tol", abs_tol)
@@ -148,8 +144,10 @@ class TrajectoryRecord:
     ``momentum`` columns are the dilation, rotation and translation
     components (Jh, Je, Jp). ``completed`` is False for partial records
     attached to integration failures, with the reason in ``error``.
-    ``stats`` holds the integrator's counters (nfev, accepted, rejected)
-    for records that integrate() made.
+    ``stats`` holds the integrator's counters for records that integrate()
+    made: field calls ``nfev``, ``accepted`` and ``rejected`` steps,
+    interpolants built (``dense``), and the smallest and largest accepted
+    step (``h_min``, ``h_max``).
     """
 
     t: np.ndarray

@@ -435,6 +435,18 @@ def test_distance_past_the_binary64_domain_exits_2(capsys, tmp_path, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+@pytest.mark.parametrize("flag", ["m1", "m2", "k"])
+@pytest.mark.parametrize("command", ["equilibrium elliptic", "stability"])
+def test_non_finite_mass_or_coupling_flag_exits_2(capsys, command, flag, value):
+    # refused when Params is built, before any computation or output; the
+    # "=" form keeps argparse from reading "-inf" as an option
+    code, out, err = run(capsys, *command.split(), "0.5", f"--{flag}={value}")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} must be positive and finite, got {float(value)!r}\n"
+
+
 def _src_env():
     """The environment with this checkout's src/ first on PYTHONPATH."""
     src = str(Path(h2body.__file__).resolve().parents[1])
@@ -507,6 +519,108 @@ def test_cli_import_leaves_scipy_out(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_builds_no_parser(tmp_path):
+    # the parser is built on the first main() call, not at import
+    script = (
+        "import argparse\n"
+        "made = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    made.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import h2body.cli as cli\n"
+        "at_import = len(made)\n"
+        "assert cli.main(['threshold-curve', '0.5', '2', '2', '--out', 'c.csv']) == 0\n"
+        "print(at_import, len(made))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, cwd=tmp_path, env=_src_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    at_import, after_main = map(int, proc.stdout.split())
+    assert at_import == 0
+    assert after_main > 0  # the counter sees the build
+
+
+class TestParserReuse:
+    """main() reuses one parser; no call may see what an earlier one parsed."""
+
+    def test_seed_override_does_not_stick(self, capsys, tmp_path):
+        scenario = TestPerturbCommand._scenario(tmp_path)
+        seeds = []
+        for extra in (("--seed", "5"), ()):
+            code, out, _ = run(capsys, "perturb", "--scenario", scenario, *extra)
+            assert code == 0
+            seeds.append(json.loads(out)["protocol"]["seed"])
+        assert seeds == [5, 7]  # 7 is the scenario's own seed
+
+    def test_tolerance_override_does_not_stick(self, capsys, tmp_path, monkeypatch):
+        import h2body.cli as cli_mod
+        from h2body.sim import IntegratorConfig
+
+        configs = []
+        exact = cli_mod.integrate
+
+        def recording(state, params, config):
+            configs.append(config)
+            return exact(state, params, config)
+
+        monkeypatch.setattr(cli_mod, "integrate", recording)
+        scenario, _ = simulate_scenario(tmp_path)
+        for name, extra in (("loose", ("--rel-tol", "1e-8")), ("default", ())):
+            argv = ("simulate", "--scenario", scenario, "--out", str(tmp_path / name))
+            assert run(capsys, *argv, *extra)[0] == 0
+        assert [c.rel_tol for c in configs] == [1e-8, IntegratorConfig(t_end=1.0).rel_tol]
+
+    def test_valid_call_after_a_rejected_one(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["equilibrium", "elliptic", "abc"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, err = run(capsys, "equilibrium", "elliptic", "0.5")
+        assert code == 0, err
+        assert json.loads(out)["d1"] == 0.5
+
+    def test_no_parser_built_after_the_first_call(self, capsys, monkeypatch):
+        import argparse
+
+        import h2body.cli as cli_mod
+
+        run(capsys, "stability", "0.4")
+        made = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            made.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli_mod.build_parser.__wrapped__()  # the counter sees a fresh build
+        assert made
+        made.clear()
+        for argv in (("stability", "0.4"), ("equilibrium", "elliptic", "0.5"), ("stability", "0.3")):
+            assert run(capsys, *argv)[0] == 0
+        assert made == []
+
+    @pytest.mark.parametrize(
+        "command",
+        ["", "simulate", "equilibrium", "stability", "threshold-curve", "perturb"],
+    )
+    def test_help_matches_a_fresh_parser(self, capsys, command):
+        import h2body.cli as cli_mod
+
+        texts = []
+        for parse in (main, main, cli_mod.build_parser.__wrapped__().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse([*command.split(), "--help"])
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0].startswith("usage: h2body")
+        assert texts[0] == texts[1] == texts[2]
 
 
 class TestErrorPlumbing:

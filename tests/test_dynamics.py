@@ -51,6 +51,13 @@ class TestParamsAndStates:
         with pytest.raises(ValueError):
             Params(1.0, 1.0, k=-0.1)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["m1", "m2", "k"])
+    def test_params_must_be_finite(self, field, value):
+        kwargs = {"m1": 1.0, "m2": 1.0, "k": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            Params(**kwargs)
+
     def test_configuration_rejects_collision(self):
         with pytest.raises(Collision):
             Configuration(Point(0.0, 1.0), Point(0.0, 1.0))
