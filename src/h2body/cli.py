@@ -224,8 +224,9 @@ def cmd_equilibrium(args) -> int:
         "d1": re.d1,
         "d2": re.d2,
         "distance": re.distance,
-        "theta1": re.theta1,
-        "theta2": re.theta2,
+        # canonical angles, for output only: (cos, sin) = (tanh d, sech d)
+        "theta1": math.atan2(1.0 / math.cosh(re.d1), math.tanh(re.d1)),
+        "theta2": math.atan2(1.0 / math.cosh(re.d2), math.tanh(re.d2)),
         "omega": re.omega,
         "omega2": re.omega * re.omega,
         "period": re.period if family is Family.ELLIPTIC else None,

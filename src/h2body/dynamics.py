@@ -10,12 +10,13 @@ equivariant momentum map.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import Collision, NotCanonical
-from .geom import Point, TangentVector, hyperbolic_distance
+from .geom import Point, TangentVector, _tanh_sech, hyperbolic_distance
 from .liegroup import (
     AlgebraElement,
     CoalgebraElement,
@@ -26,12 +27,13 @@ from .liegroup import (
 
 # separations at or below this are treated as collision
 COLLISION_EPSILON = 1e-8
-# relative slack for the canonical mass-angle relation
+# relative slack for the canonical mass-distance relation
 _CANONICAL_TOL = 1e-10
 
 
 def _require_positive(name, value):
-    if not (value > 0.0 and math.isfinite(value)):
+    # a chained comparison, not math.isfinite, which overflows on huge ints
+    if not 0.0 < value <= sys.float_info.max:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
@@ -260,29 +262,29 @@ def group_act_phase(g: GroupElement, state: PhaseState) -> PhaseState:
 
 
 def momentum_at_canonical(
-    theta1: float, theta2: float, E: float, H: float, P: float, params: Params
+    d1: float, d2: float, E: float, H: float, P: float, params: Params
 ) -> np.ndarray:
     """Momentum matrix at the canonical configuration moving with generator
     (E, H, P), as a 2x2 coalgebra matrix.
 
-    The canonical configuration places the bodies at angles theta1, theta2
-    on the unit half-circle, center of mass at (0, 1); the masses must
-    satisfy the canonical relation for those angles.
+    The canonical configuration places the bodies at (tanh d1, sech d1) and
+    (-tanh d2, sech d2) on the unit half-circle, center of mass at (0, 1);
+    the masses must balance those arc distances.
     """
-    c1, s1 = math.cos(theta1), math.sin(theta1)
-    c2, s2 = math.cos(theta2), math.sin(theta2)
+    u1, s1 = _tanh_sech(d1)
+    u2, s2 = _tanh_sech(d2)
     ratio = params.m1 / params.m2
-    rel = c2 * s1 * s1 / (s2 * s2 * c1)
+    rel = u2 * s1 * s1 / (s2 * s2 * u1)
     if abs(ratio - rel) > _CANONICAL_TOL * max(ratio, rel):
         raise NotCanonical(
             f"mass ratio {ratio:.12g} does not match the canonical relation "
-            f"{rel:.12g} for angles ({theta1}, {theta2})"
+            f"{rel:.12g} for distances ({d1}, {d2})"
         )
-    f = params.m2 * (c2 + c1) / (2.0 * s2 * s2 * c1)
+    f = params.m2 * (u2 + u1) / (2.0 * s2 * s2 * u1)
     return f * np.array(
         [
-            [H, (1.0 - 2.0 * c1 * c2) * P + c1 * c2 * E],
-            [P - c1 * c2 * E, -H],
+            [H, (1.0 - 2.0 * u1 * u2) * P + u1 * u2 * E],
+            [P - u1 * u2 * E, -H],
         ]
     )
 

@@ -1,12 +1,13 @@
 """Relative equilibria of the two-body problem.
 
 Every relative equilibrium can be moved by an isometry to a canonical
-position: both bodies on the unit half-circle at angles theta1 (first
-quadrant) and theta2 (second quadrant, measured from the negative x-axis),
-center of mass at (0, 1). Two one-parameter families exist, generated by
-the dilation field (bodies race along a common geodesic) and the rotation
-field (bodies circle the fixed center of mass). Mixed rotation-translation
-and parabolic generators admit no equilibria.
+position: center of mass at (0, 1) and both bodies on the unit
+half-circle, body 1 at (tanh d1, sech d1) and body 2 at (-tanh d2, sech d2),
+where d1 and d2 are their arc distances to the center of mass. Two
+one-parameter families exist, generated by the dilation field (bodies race
+along a common geodesic) and the rotation field (bodies circle the fixed
+center of mass). Mixed rotation-translation and parabolic generators admit
+no equilibria.
 """
 
 from __future__ import annotations
@@ -18,7 +19,14 @@ from enum import Enum
 import numpy as np
 
 from .errors import MassDistanceMismatch, NonPositiveDistance, OracleMismatch, OutOfRange
-from .geom import Orientation, Point, exponential_map, geodesic_direction, separation
+from .geom import (
+    Orientation,
+    Point,
+    _tanh_sech,
+    exponential_map,
+    geodesic_direction,
+    separation,
+)
 from .liegroup import (
     XI_E,
     XI_H,
@@ -90,7 +98,7 @@ def center_of_mass(q1: Point, q2: Point, params: Params) -> CenterOfMassSplit:
 
 def _check_distances(**named: float) -> None:
     """Arc distances must be positive, and small enough that tanh(d) < 1 in
-    binary64 (d below about 19.06): the canonical angles need it."""
+    binary64 (d below about 19.06): the canonical position needs it."""
     for name, d in named.items():
         if not d > 0.0:
             raise NonPositiveDistance(f"{name} must be positive, got {d!r}")
@@ -106,27 +114,13 @@ def partner_distance(d1: float, params: Params) -> float:
 
 # -- canonical position --------------------------------------------------
 
-def canonical_angles_from_distances(d1: float, d2: float) -> tuple[float, float]:
-    """Unit-circle angles with tanh(d_i) = cos(theta_i), sech = sin."""
+def canonical_configuration(d1: float, d2: float) -> Configuration:
+    """Bodies at (tanh d1, sech d1) and (-tanh d2, sech d2) on the unit
+    circle, at arc distances d1 and d2 from (0, 1)."""
     _check_distances(d1=d1, d2=d2)
-    t1 = math.atan2(1.0 / math.cosh(d1), math.tanh(d1))
-    t2 = math.atan2(1.0 / math.cosh(d2), math.tanh(d2))
-    return t1, t2
-
-
-def distance_of_angle(theta: float) -> float:
-    """Inverse of the angle map: arc distance atanh(cos theta)."""
-    if not 0.0 < theta < 0.5 * math.pi:
-        raise OutOfRange(f"theta must lie in (0, pi/2), got {theta!r}")
-    return math.atanh(math.cos(theta))
-
-
-def canonical_configuration(theta1: float, theta2: float) -> Configuration:
-    """Bodies at (cos t1, sin t1) and (-cos t2, sin t2) on the unit circle."""
-    return Configuration(
-        Point(math.cos(theta1), math.sin(theta1)),
-        Point(-math.cos(theta2), math.sin(theta2)),
-    )
+    u1, s1 = _tanh_sech(d1)
+    u2, s2 = _tanh_sech(d2)
+    return Configuration(Point(u1, s1), Point(-u2, s2))
 
 
 @dataclass(frozen=True)
@@ -134,8 +128,8 @@ class CanonicalForm:
     """Result of moving a configuration to canonical position."""
 
     isometry: GroupElement
-    theta1: float
-    theta2: float
+    d1: float
+    d2: float
 
 
 def to_canonical(q1: Point, q2: Point, params: Params) -> CanonicalForm:
@@ -143,21 +137,16 @@ def to_canonical(q1: Point, q2: Point, params: Params) -> CanonicalForm:
 
     Sends the center of mass to (0, 1) and the connecting geodesic to the
     unit half-circle; if body 1 lands in the second quadrant, a quarter
-    turn (z -> -1/z) flips the circle so it lands in the first.
+    turn (z -> -1/z) flips the circle so it lands in the first. d1 and d2
+    are the arc distances of center_of_mass.
     """
-    com = center_of_mass(q1, q2, params).com
+    split = center_of_mass(q1, q2, params)
+    com = split.com
     tx, ty = geodesic_direction(com.x, com.y, q2.x, q2.y)
     g = normalizing_isometry(com, math.atan2(ty, tx))
-    img1 = moebius_act(g, q1)
-    if img1.x < 0.0:
+    if moebius_act(g, q1).x < 0.0:
         g = _QUARTER_TURN.compose(g)
-        img1 = moebius_act(g, q1)
-    img2 = moebius_act(g, q2)
-    return CanonicalForm(
-        isometry=g,
-        theta1=math.atan2(img1.y, img1.x),
-        theta2=math.atan2(img2.y, -img2.x),
-    )
+    return CanonicalForm(isometry=g, d1=split.d1, d2=split.d2)
 
 
 # -- admissible generators -----------------------------------------------
@@ -171,14 +160,14 @@ class GeneratorCases:
     augmented potential critical (the same squared rate for both). The
     mixed rotation-translation direction has no critical rate: its
     closed-form obstruction ``mixed_residual`` is positive whenever both
-    angles are, and the reported minimum of the gradient norm over rates
+    distances are, and the reported minimum of the gradient norm over rates
     stays positive as the numerical route to the same fact. Parabolic
     generators fail earlier, their momentum commutator is nonzero for any
     nonzero rate.
     """
 
-    theta1: float
-    theta2: float
+    d1: float
+    d2: float
     params: Params
     omega2: float
     dilation_gradient_norm: float
@@ -189,7 +178,7 @@ class GeneratorCases:
 
     def commutator(self, E: float, H: float, P: float) -> np.ndarray:
         """[J, xi] at the canonical configuration moving with (E, H, P)."""
-        j = momentum_at_canonical(self.theta1, self.theta2, E, H, P, self.params)
+        j = momentum_at_canonical(self.d1, self.d2, E, H, P, self.params)
         m = AlgebraElement(E, H, P).matrix()
         return j @ m - m @ j
 
@@ -209,20 +198,20 @@ class GeneratorCases:
         return self.params.k * self.params.m1 * self.params.m2
 
 
-def _omega2_canonical(theta1: float, theta2: float, params: Params) -> float:
-    """Squared equilibrium rate at canonical angles; shared by the
-    dilation and rotation families."""
-    c1, s1 = math.cos(theta1), math.sin(theta1)
-    c2, s2 = math.cos(theta2), math.sin(theta2)
+def _omega2_canonical(d1: float, d2: float, params: Params) -> float:
+    """Squared equilibrium rate in canonical position, from u = tanh(d) and
+    s = sech(d) of each body; shared by the dilation and rotation families."""
+    u1, s1 = _tanh_sech(d1)
+    u2, s2 = _tanh_sech(d2)
     return (
         params.k
         * params.m1
-        * s1 * s1 * s2 * s2 / (c1 + c2) ** 2
-        * (s2 * s2 / c2)
+        * s1 * s1 * s2 * s2 / (u1 + u2) ** 2
+        * (s2 * s2 / u2)
     )
 
 
-def admissible_generators(theta1: float, theta2: float, params: Params) -> GeneratorCases:
+def admissible_generators(d1: float, d2: float, params: Params) -> GeneratorCases:
     """Scan the commuting generator directions at a canonical configuration.
 
     For each direction the relevant test is whether some rate makes the
@@ -230,8 +219,8 @@ def admissible_generators(theta1: float, theta2: float, params: Params) -> Gener
     gradient norms. Mixed directions are scanned over a rate grid and
     polished with a golden-section refinement.
     """
-    config = canonical_configuration(theta1, theta2)
-    omega2 = _omega2_canonical(theta1, theta2, params)
+    config = canonical_configuration(d1, d2)
+    omega2 = _omega2_canonical(d1, d2, params)
     omega = math.sqrt(omega2)
 
     def grad_norm(xi):
@@ -254,19 +243,19 @@ def admissible_generators(theta1: float, theta2: float, params: Params) -> Gener
             lo = probe_a
     mixed = min(mixed, grad_norm(0.5 * (lo + hi) * mixed_dir))
 
-    c1, s1 = math.cos(theta1), math.sin(theta1)
-    c2, s2 = math.cos(theta2), math.sin(theta2)
+    u1, s1 = _tanh_sech(d1)
+    u2, s2 = _tanh_sech(d2)
     # criticality obstruction of the mixed direction in closed form
-    residual = params.m2 ** 2 * params.k * c2 * s2 * s2 * s1 ** 4 * (c1 + c2)
+    residual = params.m2 ** 2 * params.k * u2 * s2 * s2 * s1 ** 4 * (u1 + u2)
 
-    j = momentum_at_canonical(theta1, theta2, 0.0, 0.0, 1.0, params)
+    j = momentum_at_canonical(d1, d2, 0.0, 0.0, 1.0, params)
     m = XI_P.matrix()
     comm = j @ m - m @ j
     parabolic = float(np.sqrt(np.sum(comm * comm)))
 
     return GeneratorCases(
-        theta1=theta1,
-        theta2=theta2,
+        d1=d1,
+        d2=d2,
         params=params,
         omega2=omega2,
         dilation_gradient_norm=dilation,
@@ -292,8 +281,6 @@ class RelativeEquilibrium:
     params: Params
     d1: float
     d2: float
-    theta1: float
-    theta2: float
     omega: float
     xi: AlgebraElement
     config: Configuration
@@ -316,7 +303,7 @@ def build_relative_equilibrium(
     The distances must balance the masses: m1 sinh(2 d1) = m2 sinh(2 d2)
     within 1e-9 relative, else MassDistanceMismatch. ``sign`` picks the
     sense of motion. The construction cross-checks the intrinsic and
-    canonical-angle rate formulas and the criticality of the augmented
+    canonical-position rate formulas and the criticality of the augmented
     potential before returning, and raises OracleMismatch if either fails.
     """
     if sign not in (-1, 1):
@@ -330,21 +317,23 @@ def build_relative_equilibrium(
             "the distances do not balance the masses"
         )
 
-    theta1, theta2 = canonical_angles_from_distances(d1, d2)
     d = d1 + d2
     omega2 = 2.0 * params.k * params.m1 / (math.sinh(d) ** 2 * math.sinh(2.0 * d2))
     omega2_alt = 2.0 * params.k * params.m2 / (math.sinh(d) ** 2 * math.sinh(2.0 * d1))
-    omega2_trig = _omega2_canonical(theta1, theta2, params)
-    if abs(omega2 - omega2_trig) > 1e-10 * omega2 or abs(omega2 - omega2_alt) > 1e-8 * omega2:
+    omega2_canonical = _omega2_canonical(d1, d2, params)
+    if (
+        abs(omega2 - omega2_canonical) > 1e-10 * omega2
+        or abs(omega2 - omega2_alt) > 1e-8 * omega2
+    ):
         raise OracleMismatch(
             "rate formulas disagree: intrinsic "
-            f"{omega2:.17g} / {omega2_alt:.17g}, canonical {omega2_trig:.17g}"
+            f"{omega2:.17g} / {omega2_alt:.17g}, canonical {omega2_canonical:.17g}"
         )
 
     omega = sign * math.sqrt(omega2)
     basis = XI_H if family is Family.HYPERBOLIC else XI_E
     xi = omega * basis
-    config = canonical_configuration(theta1, theta2)
+    config = canonical_configuration(d1, d2)
 
     grad = augmented_potential_gradient(config, params, xi)
     # the gradient's terms scale like the force k m1 m2 / sinh(d)^2
@@ -359,8 +348,6 @@ def build_relative_equilibrium(
         params=params,
         d1=d1,
         d2=d2,
-        theta1=theta1,
-        theta2=theta2,
         omega=omega,
         xi=xi,
         config=config,
@@ -395,8 +382,8 @@ def analytic_states(re: RelativeEquilibrium, ts) -> np.ndarray:
     u = tanh(d) and s = sech(d) of each body.
     """
     w = re.omega * np.asarray(ts, dtype=float)
-    u1, s1 = math.tanh(re.d1), 1.0 / math.cosh(re.d1)
-    u2, s2 = math.tanh(re.d2), 1.0 / math.cosh(re.d2)
+    u1, s1 = _tanh_sech(re.d1)
+    u2, s2 = _tanh_sech(re.d2)
     if re.family is Family.HYPERBOLIC:
         lam = np.exp(w)
         x1, y1, x2, y2 = lam * u1, lam * s1, -lam * u2, lam * s2

@@ -55,6 +55,12 @@ class Orientation(Enum):
     OPPOSITE = "opposite"
 
 
+def _tanh_sech(d: float) -> tuple[float, float]:
+    """(tanh d, sech d): the point at arc distance d from (0, 1) along the
+    unit half-circle, toward positive x."""
+    return math.tanh(d), 1.0 / math.cosh(d)
+
+
 def separation(x1, y1, x2, y2):
     """Distance between (x1, y1) and (x2, y2); floats or arrays alike.
 

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NonPositiveDistance, OutOfRange
-from .geom import Point
+from .geom import Point, _tanh_sech
 from .liegroup import (
     XI_E,
     XI_H,
@@ -58,8 +58,8 @@ class Verdict(Enum):
 def stability_indicator(u: float, v: float) -> float:
     """Sign decides elliptic stability: positive on the stable side.
 
-    u and v are the cosines of the canonical angles (equivalently tanh of
-    the arc distances to the center of mass).
+    u and v are tanh of the arc distances of the bodies to the center of
+    mass.
     """
     return 1.0 - 3.0 * u * u * v * v - u * u - v * v
 
@@ -87,21 +87,7 @@ def stability_polynomial(x: float, c: float) -> float:
     return 3.0 * x2 ** 4 + (16.0 * c * c - 8.0) * x2 ** 3 + 6.0 * x2 ** 2 - 1.0
 
 
-def _stability_polynomial_deriv(x: float, c: float) -> float:
-    x2 = x * x
-    return 24.0 * x * x2 ** 3 + 6.0 * (16.0 * c * c - 8.0) * x * x2 ** 2 + 24.0 * x * x2
-
-
 # -- momentum and rigid block --------------------------------------------
-
-def _angles(re: RelativeEquilibrium):
-    return (
-        math.cos(re.theta1),
-        math.sin(re.theta1),
-        math.cos(re.theta2),
-        math.sin(re.theta2),
-    )
-
 
 def momentum_of(re: RelativeEquilibrium) -> CoalgebraElement:
     """Momentum of the equilibrium motion, via the full phase-space map."""
@@ -122,17 +108,18 @@ def rig_basis(family: Family) -> tuple[AlgebraElement, AlgebraElement]:
 
 def rig_block(re: RelativeEquilibrium) -> np.ndarray:
     """Closed-form rigid block of the second variation, in rig_basis order."""
-    c1, s1, c2, s2 = _angles(re)
+    u1 = math.tanh(re.d1)
+    u2, s2 = _tanh_sech(re.d2)
     w2 = re.omega * re.omega
     m2 = re.params.m2
     if re.family is Family.HYPERBOLIC:
-        pre = m2 * w2 * (c1 + c2) * c2 / (s2 * s2 * (1.0 - c1 * c2))
+        pre = m2 * w2 * (u1 + u2) * u2 / (s2 * s2 * (1.0 - u1 * u2))
         return pre * np.array(
-            [[1.0, -1.0], [-1.0, 1.0 / (c1 * c1 * c2 * c2)]]
+            [[1.0, -1.0], [-1.0, 1.0 / (u1 * u1 * u2 * u2)]]
         )
-    pre = m2 * w2 * (c1 + c2) * c2 / (s2 * s2)
+    pre = m2 * w2 * (u1 + u2) * u2 / (s2 * s2)
     return pre * np.array(
-        [[1.0 / (1.0 - c1 * c2), 0.0], [0.0, 1.0 + c1 * c2]]
+        [[1.0 / (1.0 - u1 * u2), 0.0], [0.0, 1.0 + u1 * u2]]
     )
 
 
@@ -158,19 +145,19 @@ def rig_block_oracle(re: RelativeEquilibrium) -> np.ndarray:
 
 # -- internal block ------------------------------------------------------
 
-def v_int_generator(family: Family, theta1: float, theta2: float) -> np.ndarray:
+def v_int_generator(family: Family, d1: float, d2: float) -> np.ndarray:
     """Chart direction spanning the internal variation space, ordered
     (x1, y1, x2, y2). The same direction works for both families: it is
     tangential at each body, hence metric-orthogonal to the radial
     isotropy orbit directions."""
-    c1, s1 = math.cos(theta1), math.sin(theta1)
-    c2, s2 = math.cos(theta2), math.sin(theta2)
+    u1, s1 = _tanh_sech(d1)
+    u2, s2 = _tanh_sech(d2)
     return np.array(
         [
-            -s1 * s1 * c1 * (c2 * c2 + 1.0),
-            s1 * c1 * c1 * (c2 * c2 + 1.0),
-            s2 * s2 * c2 * (c1 * c1 + 1.0),
-            s2 * c2 * c2 * (c1 * c1 + 1.0),
+            -s1 * s1 * u1 * (u2 * u2 + 1.0),
+            s1 * u1 * u1 * (u2 * u2 + 1.0),
+            s2 * s2 * u2 * (u1 * u1 + 1.0),
+            s2 * u2 * u2 * (u1 * u1 + 1.0),
         ]
     )
 
@@ -179,27 +166,28 @@ def internal_block(re: RelativeEquilibrium) -> float:
     """Closed-form internal (shape) block on the v_int direction.
 
     Negative for every hyperbolic-family equilibrium. For the elliptic
-    family the sign follows the stability indicator at the cosine pair."""
-    c1, s1, c2, s2 = _angles(re)
+    family the sign follows the stability indicator at u = tanh(d1),
+    v = tanh(d2)."""
+    u, s1 = _tanh_sech(re.d1)
+    v = math.tanh(re.d2)
     m2, k = re.params.m2, re.params.k
     if re.family is Family.HYPERBOLIC:
         return (
             -k
             * m2
             * m2
-            * c2
+            * v
             * s1 ** 4
-            * (c1 * c2 + 1.0)
-            * (c1 * c1 + s1 * s1 * c2 * c2 + 3.0)
-            / ((c1 + c2) * c1)
+            * (u * v + 1.0)
+            * (u * u + s1 * s1 * v * v + 3.0)
+            / ((u + v) * u)
         )
-    u, v = c1, c2
     return (
         m2
         * m2
         * k
         * v
-        * (1.0 - u * u) ** 2
+        * s1 ** 4
         * (1.0 + u * v)
         * stability_indicator(u, v)
         / (u * (u + v))
@@ -240,7 +228,7 @@ def internal_block_oracle(re: RelativeEquilibrium) -> float:
     internal direction (five-point fourth-order stencil, so the oracle
     itself is reliable to ~1e-9 absolute) plus the locked-inertia
     correction term."""
-    w = v_int_generator(re.family, re.theta1, re.theta2)
+    w = v_int_generator(re.family, re.d1, re.d2)
     q = np.array([re.config.q1.x, re.config.q1.y, re.config.q2.x, re.config.q2.y])
     wnorm = float(np.linalg.norm(w))
     wn = w / wnorm
@@ -266,7 +254,7 @@ def internal_membership(re: RelativeEquilibrium) -> dict:
     of its isotropy component and of the complement; the complement should
     vanish, which is what makes the one-direction internal block complete.
     """
-    w = v_int_generator(re.family, re.theta1, re.theta2)
+    w = v_int_generator(re.family, re.d1, re.d2)
     _, eta = _correction(re, w)
     if re.family is Family.HYPERBOLIC:
         member = abs(eta.H)
@@ -346,16 +334,14 @@ def classify_stability(re: RelativeEquilibrium) -> StabilityReport:
         internal_sign = "-"
         verdict = Verdict.UNSTABLE
 
-    c1 = math.cos(re.theta1)
-    c2 = math.cos(re.theta2)
     return StabilityReport(
         family=re.family,
         d1=re.d1,
         d2=re.d2,
         omega=re.omega,
         mass_ratio=re.params.m1 / re.params.m2,
-        u=c1,
-        v=c2,
+        u=math.tanh(re.d1),
+        v=math.tanh(re.d2),
         rig=ar,
         rig_definite=ar_definite,
         internal=internal,
@@ -379,35 +365,28 @@ class MassRatioCurve:
 def threshold(c: float) -> MassRatioCurve:
     """Stability threshold for the elliptic family at mass ratio c.
 
-    Bisection on the threshold polynomial over (0, 1), followed by a few
-    Newton steps; the polynomial is negative below the root (stable) and
-    positive above. At c = 1 the root is 1/sqrt(3).
+    Solves the boundary of intrinsic_stability_bound, cleared of roots, for
+    r = sinh(d1)^2: f(r) = 16 c^2 r^3 (1 + r) - (1 + 4 r) = 0. Unlike the
+    stability polynomial in u0 = tanh(d1), whose root turns triple at u = 1
+    as c -> 0, this root stays simple. f is convex, f(r0) < 0 < f(2 r0) at
+    r0 = (4 c)^(-2/3), so Newton's method from 2 r0 falls monotonically
+    onto the root. At c = 1, u0 = 1/sqrt(3).
     """
     if not c > 0.0:
         raise OutOfRange(f"mass ratio must be positive, got {c!r}")
-    lo, hi = 0.0, 1.0
-    flo = stability_polynomial(lo, c)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        fm = stability_polynomial(mid, c)
-        if flo * fm <= 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-        if hi - lo < 1e-15:
+    # 2 r0, with (4 c)^(-2/3) split so that 4 c cannot overflow
+    r = 2.0 * 4.0 ** (-2.0 / 3.0) * c ** (-2.0 / 3.0)
+    for _ in range(100):
+        q2 = (4.0 * (c * r) * math.sqrt(r)) ** 2  # 16 c^2 r^3, no factor overflows
+        f = q2 * (1.0 + r) - (1.0 + 4.0 * r)
+        df = q2 * (3.0 / r + 4.0) - 4.0
+        nxt = r - f / df
+        if not nxt < r:
             break
-    x = 0.5 * (lo + hi)
-    for _ in range(4):
-        dfx = _stability_polynomial_deriv(x, c)
-        if dfx == 0.0:
-            break
-        step = stability_polynomial(x, c) / dfx
-        x -= step
-        if abs(step) < 1e-16:
-            break
-    return MassRatioCurve(
-        c=c, u0=x, d1=math.atanh(x), residual=abs(stability_polynomial(x, c))
-    )
+        r = nxt
+    u0 = math.sqrt(r / (1.0 + r))
+    residual = abs(stability_polynomial(u0, c))
+    return MassRatioCurve(c=c, u0=u0, d1=math.asinh(math.sqrt(r)), residual=residual)
 
 
 def intrinsic_stability_bound(d1: float, c: float) -> bool:

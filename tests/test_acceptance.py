@@ -25,7 +25,6 @@ from h2body import Family, Params, build_relative_equilibrium, partner_distance
 from h2body.dynamics import Configuration, Point, _field_array, augmented_potential
 from h2body.equilibria import (
     admissible_generators,
-    canonical_angles_from_distances,
     initial_state,
 )
 from h2body.geom import geodesic_point_at, geodesic_through, hyperbolic_distance
@@ -124,7 +123,7 @@ def test_ac02_criticality_and_rotation_rate_forms():
             sh2 = math.sinh(d) ** 2
             form_a = 2.0 * p.k * p.m1 / (sh2 * math.sinh(2.0 * re.d2))
             form_b = 2.0 * p.k * p.m2 / (sh2 * math.sinh(2.0 * re.d1))
-            trig = admissible_generators(re.theta1, re.theta2, p).omega2
+            trig = admissible_generators(re.d1, re.d2, p).omega2
             worst_rate = max(
                 worst_rate,
                 abs(form_a - trig) / trig,
@@ -148,13 +147,12 @@ def test_ac03_excluded_generator_cases():
         for c in np.geomspace(0.2, 5.0, 5):
             params = Params(c, 1.0, 1.0)
             d2 = partner_distance(d1, params)
-            t1, t2 = canonical_angles_from_distances(d1, d2)
-            cases = admissible_generators(t1, t2, params)
+            cases = admissible_generators(d1, d2, params)
             # the obstruction has an explicit product form; check it on the fly
             expect = (
                 params.m2 ** 2 * params.k
-                * math.cos(t2) * math.sin(t2) ** 2 * math.sin(t1) ** 4
-                * (math.cos(t1) + math.cos(t2))
+                * math.tanh(d2) / math.cosh(d2) ** 2 / math.cosh(d1) ** 4
+                * (math.tanh(d1) + math.tanh(d2))
             )
             assert abs(cases.mixed_residual - expect) <= 1e-12 * expect
             worst_residual = min(worst_residual, cases.mixed_residual)

@@ -76,7 +76,23 @@ class TestEquilibriumCommand:
         )
         assert doc["omega"] == re.omega
         assert doc["d2"] == re.d2
-        assert doc["theta1"] == re.theta1
+        # the canonical angles are output only, computed as they always were
+        assert doc["theta1"] == math.atan2(1.0 / math.cosh(re.d1), math.tanh(re.d1))
+        assert doc["theta2"] == math.atan2(1.0 / math.cosh(re.d2), math.tanh(re.d2))
+        assert (doc["theta1"], doc["theta2"]) == (1.0904152476611673, 0.7727827827876905)
+
+    def test_small_distance_builds(self, capsys):
+        # the rate cross-check holds at d1 = 1e-7 (no atan2 round trip)
+        code, out, err = run(capsys, "equilibrium", "hyperbolic", "1e-7")
+        assert code == 0, err
+        assert json.loads(out)["d1"] == 1e-7
+
+    def test_distance_inside_collision_cutoff_exits_2(self, capsys):
+        # d = 2e-9 is inside the collision cutoff: a typed refusal
+        code, out, err = run(capsys, "equilibrium", "elliptic", "1e-9")
+        assert code == 2
+        assert out == ""
+        assert err == "error: separation 2.000e-09 is inside the collision cutoff\n"
 
     def test_hyperbolic_has_no_period(self, capsys):
         code, out, _ = run(capsys, "equilibrium", "hyperbolic", "0.7", "--m2", "1.5")

@@ -51,7 +51,10 @@ class TestParamsAndStates:
         with pytest.raises(ValueError):
             Params(1.0, 1.0, k=-0.1)
 
-    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    # an int beyond the float range, where math.isfinite would overflow
+    @pytest.mark.parametrize(
+        "value", [math.inf, math.nan, pytest.param(10**400, id="int1e400")]
+    )
     @pytest.mark.parametrize("field", ["m1", "m2", "k"])
     def test_params_must_be_finite(self, field, value):
         kwargs = {"m1": 1.0, "m2": 1.0, "k": 1.0, field: value}
@@ -221,12 +224,13 @@ class TestGroupActPhase:
         assert isinstance(moved, PhaseState)
 
 
-def _canonical_setup(t1, t2, m2=1.0, k=1.0):
-    c1, s1 = math.cos(t1), math.sin(t1)
-    c2, s2 = math.cos(t2), math.sin(t2)
-    m1 = m2 * c2 * s1 * s1 / (s2 * s2 * c1)
+def _canonical_setup(d1, d2, m2=1.0, k=1.0):
+    # bodies at (tanh d1, sech d1) and (-tanh d2, sech d2), masses balanced
+    u1, s1 = math.tanh(d1), 1.0 / math.cosh(d1)
+    u2, s2 = math.tanh(d2), 1.0 / math.cosh(d2)
+    m1 = m2 * u2 * s1 * s1 / (s2 * s2 * u1)
     params = Params(m1, m2, k)
-    cfg = Configuration(Point(c1, s1), Point(-c2, s2))
+    cfg = Configuration(Point(u1, s1), Point(-u2, s2))
     return cfg, params
 
 
@@ -234,13 +238,13 @@ class TestMomentumAtCanonical:
     def test_matches_legendre_route(self, rng):
         # dual route: closed-form matrix against momentum_map(legendre(...))
         for _ in range(50):
-            t1 = float(rng.uniform(0.3, 1.3))
-            t2 = float(rng.uniform(0.3, 1.3))
+            d1 = float(rng.uniform(0.27, 1.9))
+            d2 = float(rng.uniform(0.27, 1.9))
             m2 = float(rng.uniform(0.5, 2.0))
-            cfg, params = _canonical_setup(t1, t2, m2)
+            cfg, params = _canonical_setup(d1, d2, m2)
             E, H, P = (float(v) for v in rng.normal(size=3))
             mu = momentum_map(legendre(cfg, params, AlgebraElement(E, H, P)))
-            closed = momentum_at_canonical(t1, t2, E, H, P, params)
+            closed = momentum_at_canonical(d1, d2, E, H, P, params)
             assert np.allclose(mu.matrix(), closed, rtol=1e-10, atol=1e-12)
 
     def test_rejects_wrong_masses(self):
@@ -277,14 +281,14 @@ class TestLockedInertia:
 
     def test_canonical_closed_form(self, rng):
         # at the canonical configuration the tensor collapses to a sparse
-        # matrix in u = cos t1, v = cos t2
+        # matrix in u = tanh d1, v = tanh d2
         for _ in range(20):
-            t1 = float(rng.uniform(0.3, 1.3))
-            t2 = float(rng.uniform(0.3, 1.3))
+            d1 = float(rng.uniform(0.27, 1.9))
+            d2 = float(rng.uniform(0.27, 1.9))
             m2 = float(rng.uniform(0.5, 2.0))
-            cfg, params = _canonical_setup(t1, t2, m2)
-            u, v = math.cos(t1), math.cos(t2)
-            s2 = math.sin(t2)
+            cfg, params = _canonical_setup(d1, d2, m2)
+            u, v = math.tanh(d1), math.tanh(d2)
+            s2 = 1.0 / math.cosh(d2)
             closed = (
                 m2
                 * (u + v)

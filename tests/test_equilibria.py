@@ -19,10 +19,8 @@ from h2body import (
     analytic_trajectory,
     augmented_potential_gradient,
     build_relative_equilibrium,
-    canonical_angles_from_distances,
     canonical_configuration,
     center_of_mass,
-    distance_of_angle,
     geodesic_point_at,
     hamiltonian,
     hamiltonian_vector_field,
@@ -161,54 +159,55 @@ class TestPartnerDistance:
             build_relative_equilibrium(Family.ELLIPTIC, 0.5, 19.5, Params(1.0, 1.0))
 
 
-class TestCanonicalAngles:
-    def test_duality(self, rng):
-        # cos(theta) = tanh(d), sin(theta) = sech(d)
+class TestCanonicalConfiguration:
+    def test_tanh_sech_position(self, rng):
+        # body 1 at (tanh d1, sech d1), body 2 at (-tanh d2, sech d2)
         for _ in range(50):
-            d1, d2 = 0.05 + 1.5 * rng.random(2)
-            t1, t2 = canonical_angles_from_distances(d1, d2)
-            assert math.cos(t1) == pytest.approx(math.tanh(d1), abs=1e-15)
-            assert math.sin(t1) == pytest.approx(1.0 / math.cosh(d1), abs=1e-15)
-            assert distance_of_angle(t1) == pytest.approx(d1, rel=1e-12)
-            assert distance_of_angle(t2) == pytest.approx(d2, rel=1e-12)
+            d1, d2 = (float(d) for d in 0.05 + 1.5 * rng.random(2))
+            cfg = canonical_configuration(d1, d2)
+            assert (cfg.q1.x, cfg.q1.y) == (math.tanh(d1), 1.0 / math.cosh(d1))
+            assert (cfg.q2.x, cfg.q2.y) == (-math.tanh(d2), 1.0 / math.cosh(d2))
+            for q in (cfg.q1, cfg.q2):
+                assert q.x ** 2 + q.y ** 2 == pytest.approx(1.0, abs=1e-15)
 
-    def test_angles_in_open_quadrant(self, rng):
+    def test_bodies_in_open_quadrants(self, rng):
         for _ in range(20):
-            d1, d2 = 0.05 + 2.5 * rng.random(2)
-            t1, t2 = canonical_angles_from_distances(d1, d2)
-            assert 0.0 < t1 < 0.5 * math.pi
-            assert 0.0 < t2 < 0.5 * math.pi
+            d1, d2 = (float(d) for d in 0.05 + 2.5 * rng.random(2))
+            cfg = canonical_configuration(d1, d2)
+            assert cfg.q1.x > 0.0 and cfg.q1.y > 0.0
+            assert cfg.q2.x < 0.0 and cfg.q2.y > 0.0
 
-    def test_angle_distance_is_geodesic_distance(self):
-        # the apex (0, 1) and the point at angle theta are atanh(cos) apart
-        theta = 1.1
-        d = hyperbolic_distance(Point(math.cos(theta), math.sin(theta)), Point(0, 1))
-        assert d == pytest.approx(distance_of_angle(theta), abs=1e-14)
+    def test_apex_distance_is_arc_distance(self):
+        # (0, 1) and (tanh d, sech d) are d apart
+        for d in (1e-6, 0.3, 1.1, 5.0, 18.0):
+            cfg = canonical_configuration(d, d)
+            for q in (cfg.q1, cfg.q2):
+                assert hyperbolic_distance(q, Point(0, 1)) == pytest.approx(
+                    d, rel=1e-13, abs=0.0
+                )
 
     def test_rejections(self):
         with pytest.raises(NonPositiveDistance):
-            canonical_angles_from_distances(0.0, 1.0)
+            canonical_configuration(0.0, 1.0)
+        with pytest.raises(NonPositiveDistance):
+            canonical_configuration(1.0, -0.3)
         with pytest.raises(OutOfRange):
-            distance_of_angle(0.0)
-        with pytest.raises(OutOfRange):
-            distance_of_angle(0.5 * math.pi)
-        with pytest.raises(OutOfRange):
-            distance_of_angle(-0.3)
+            canonical_configuration(0.5, 19.5)
 
 
 class TestToCanonical:
     def test_canonical_input_is_fixed(self):
-        t1, t2 = 0.7, 0.9
-        cfg = canonical_configuration(t1, t2)
-        c1, s1 = math.cos(t1), math.sin(t1)
-        c2, s2 = math.cos(t2), math.sin(t2)
+        d1, d2 = 0.9, 0.6
+        cfg = canonical_configuration(d1, d2)
+        u1, s1 = math.tanh(d1), 1.0 / math.cosh(d1)
+        u2, s2 = math.tanh(d2), 1.0 / math.cosh(d2)
         m2 = 1.4
-        m1 = m2 * c2 * s1 * s1 / (s2 * s2 * c1)
+        m1 = m2 * u2 * s1 * s1 / (s2 * s2 * u1)
         form = to_canonical(cfg.q1, cfg.q2, Params(m1, m2))
-        assert form.theta1 == pytest.approx(t1, abs=1e-10)
-        assert form.theta2 == pytest.approx(t2, abs=1e-10)
+        assert form.d1 == pytest.approx(d1, abs=1e-10)
+        assert form.d2 == pytest.approx(d2, abs=1e-10)
         img = moebius_act(form.isometry, cfg.q1)
-        assert img.x == pytest.approx(c1, abs=1e-10)
+        assert img.x == pytest.approx(u1, abs=1e-10)
         assert img.y == pytest.approx(s1, abs=1e-10)
 
     def test_normalizes_arbitrary_pairs(self, rng):
@@ -230,13 +229,12 @@ class TestToCanonical:
             com_img = moebius_act(form.isometry, split.com)
             assert com_img.x == pytest.approx(0.0, abs=1e-9)
             assert com_img.y == pytest.approx(1.0, abs=1e-9)
-            # angles encode the balance distances
-            assert distance_of_angle(form.theta1) == pytest.approx(
-                split.d1, abs=1e-9
-            )
-            assert distance_of_angle(form.theta2) == pytest.approx(
-                split.d2, abs=1e-9
-            )
+            # the form carries the balance distances, and the images sit at
+            # those distances from the apex
+            assert (form.d1, form.d2) == (split.d1, split.d2)
+            apex = Point(0.0, 1.0)
+            assert hyperbolic_distance(img1, apex) == pytest.approx(split.d1, abs=1e-9)
+            assert hyperbolic_distance(img2, apex) == pytest.approx(split.d2, abs=1e-9)
 
     def test_isometry_invariant_angles(self, rng):
         for _ in range(30):
@@ -247,24 +245,19 @@ class TestToCanonical:
             g = random_group(rng)
             f0 = to_canonical(a, b, params)
             f1 = to_canonical(moebius_act(g, a), moebius_act(g, b), params)
-            assert f1.theta1 == pytest.approx(f0.theta1, abs=1e-8)
-            assert f1.theta2 == pytest.approx(f0.theta2, abs=1e-8)
+            assert f1.d1 == pytest.approx(f0.d1, abs=1e-8)
+            assert f1.d2 == pytest.approx(f0.d2, abs=1e-8)
 
 
 class TestAdmissibleGenerators:
     @staticmethod
     def _cases(rng):
-        t1 = float(rng.uniform(0.3, 1.3))
-        t2 = float(rng.uniform(0.3, 1.3))
+        d1 = float(rng.uniform(0.27, 1.9))
+        d2 = float(rng.uniform(0.27, 1.9))
         m2 = float(rng.uniform(0.5, 2.0))
-        m1 = (
-            m2
-            * math.cos(t2)
-            * math.sin(t1) ** 2
-            / (math.sin(t2) ** 2 * math.cos(t1))
-        )
+        m1 = m2 * math.tanh(d2) * math.cosh(d2) ** 2 / (math.cosh(d1) ** 2 * math.tanh(d1))
         params = Params(m1, m2, float(rng.uniform(0.5, 2.0)))
-        return admissible_generators(t1, t2, params), params
+        return admissible_generators(d1, d2, params), params
 
     def test_dilation_and_rotation_admit(self, rng):
         for _ in range(20):
@@ -309,13 +302,32 @@ class TestBuildRelativeEquilibrium:
         )
         assert re.omega ** 2 == pytest.approx(1.2322343865586145, rel=1e-14)
         assert re.distance == pytest.approx(1.0, abs=1e-15)
-        # same rate through the canonical-angle form with theta1 = theta2:
-        # k m sin(t)^6 / (4 cos(t)^3)
-        t = re.theta1
-        assert re.theta2 == pytest.approx(t, abs=1e-15)
-        assert re.omega ** 2 == pytest.approx(
-            math.sin(t) ** 6 / (4.0 * math.cos(t) ** 3), rel=1e-12
-        )
+        # same rate through the canonical-position form with u = tanh(1/2),
+        # s = sech(1/2) for both bodies: k m s^6 / (4 u^3)
+        u, s = math.tanh(0.5), 1.0 / math.cosh(0.5)
+        assert re.omega ** 2 == pytest.approx(s ** 6 / (4.0 * u ** 3), rel=1e-12)
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("ratio", [1e-3, 1.0, 1e3])
+    def test_canonical_position_exact_over_domain_grid(self, family, ratio):
+        # every build either holds the bodies at (+-tanh d, sech d) bit for
+        # bit or refuses a partner distance past the binary64 domain; none
+        # fails its own rate cross-check, down to d1 = 1e-7
+        params = Params(ratio, 1.0)
+        built = 0
+        for d1 in np.geomspace(1e-7, 19.0, 120):
+            d1 = float(d1)
+            d2 = partner_distance(d1, params)
+            try:
+                re = build_relative_equilibrium(family, d1, d2, params)
+            except OutOfRange:
+                assert math.tanh(d2) == 1.0
+                continue
+            built += 1
+            q1, q2 = re.config.q1, re.config.q2
+            assert (q1.x, q1.y) == (math.tanh(d1), 1.0 / math.cosh(d1))
+            assert (q2.x, q2.y) == (-math.tanh(d2), 1.0 / math.cosh(d2))
+        assert built >= 118
 
     def test_rejects_unbalanced_distances(self):
         with pytest.raises(MassDistanceMismatch):

@@ -104,7 +104,7 @@ class TestIntegratorConfig:
         "field, value",
         [("t_end", math.inf), ("t_end", math.nan), ("rel_tol", math.inf),
          ("abs_tol", math.nan), ("max_step", math.inf), ("sample_dt", math.nan),
-         ("rel_tol", 2.2e-14)],
+         ("rel_tol", 2.2e-14), pytest.param("t_end", 10**400, id="t_end-int1e400")],
     )
     def test_rejects_non_finite_values_and_sub_ulp_rel_tol(self, field, value):
         # rel_tol must be at least 100 ulps (2.22e-14)
@@ -307,6 +307,9 @@ class TestPerturbation:
             PerturbationExperiment(re, scale=1e-4, n_trials=0, horizon=1.0, seed=1)
         with pytest.raises(ValueError):
             PerturbationExperiment(re, scale=1e-4, n_trials=1, horizon=0.0, seed=1)
+        # an int beyond the float range, where math.isfinite would overflow
+        with pytest.raises(ValueError, match="scale must be positive and finite"):
+            PerturbationExperiment(re, scale=10**400, n_trials=1, horizon=1.0, seed=1)
 
     def test_stable_side_stays_bounded(self):
         re = _equal_mass_elliptic(u=0.4)

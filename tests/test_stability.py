@@ -1,6 +1,7 @@
 """Reduced energy-momentum test: blocks, verdicts, threshold curve."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -161,7 +162,7 @@ class TestInternalBlock:
     def test_elliptic_sign_follows_indicator(self, rng):
         for _ in range(40):
             re = random_balanced_re(rng, Family.ELLIPTIC)
-            u, v = math.cos(re.theta1), math.cos(re.theta2)
+            u, v = math.tanh(re.d1), math.tanh(re.d2)
             f = stability_indicator(u, v)
             if abs(f) < 1e-10:
                 continue
@@ -169,12 +170,11 @@ class TestInternalBlock:
 
     def test_internal_direction_shape(self, rng):
         re = random_balanced_re(rng, Family.ELLIPTIC)
-        w = v_int_generator(re.family, re.theta1, re.theta2)
-        c1, s1 = math.cos(re.theta1), math.sin(re.theta1)
-        c2, s2 = math.cos(re.theta2), math.sin(re.theta2)
+        w = v_int_generator(re.family, re.d1, re.d2)
+        q1, q2 = re.config.q1, re.config.q2
         # tangential to the unit circle at each body
-        assert w[0] * c1 + w[1] * s1 == pytest.approx(0.0, abs=1e-15)
-        assert -w[2] * c2 + w[3] * s2 == pytest.approx(0.0, abs=1e-15)
+        assert w[0] * q1.x + w[1] * q1.y == pytest.approx(0.0, abs=1e-15)
+        assert w[2] * q2.x + w[3] * q2.y == pytest.approx(0.0, abs=1e-15)
 
     def test_membership_in_isotropy(self, rng):
         # the correction element must sit in the momentum isotropy algebra
@@ -186,7 +186,7 @@ class TestInternalBlock:
 
     def test_inertia_derivative_is_symmetric_fd(self, rng):
         re = random_balanced_re(rng, Family.ELLIPTIC)
-        w = v_int_generator(re.family, re.theta1, re.theta2)
+        w = v_int_generator(re.family, re.d1, re.d2)
         dii = locked_inertia_derivative(re.config, re.params, w)
         assert np.allclose(dii, dii.T, atol=1e-10)
         # sanity: nonzero and finite
@@ -250,6 +250,26 @@ class TestThreshold:
             u0 = threshold(c).u0
             assert stability_polynomial(u0 - 1e-3, c) < 0.0
             assert stability_polynomial(u0 + 1e-3, c) > 0.0
+
+    def test_accurate_over_mass_ratio_range(self):
+        # two checks independent of the solver: the intrinsic bound at d1
+        # gives c back, and the threshold polynomial, evaluated exactly in
+        # rationals, changes sign within 2 ulps of u0 (the root in u turns
+        # triple at u = 1 as c -> 0, so float evaluation cannot tell)
+        def poly(x, c):
+            x, c = Fraction(x), Fraction(c)
+            return (3 * x * x + 1) * (x * x - 1) ** 3 + 16 * c * c * x ** 6
+
+        for c in np.geomspace(1e-12, 1e6, 37):
+            c = float(c)
+            res = threshold(c)
+            back = math.sqrt(3.0 * math.tanh(res.d1) ** 2 + 1.0) / (
+                4.0 * math.sinh(res.d1) ** 3
+            )
+            assert back == pytest.approx(c, rel=1e-14, abs=0.0)
+            below = math.nextafter(math.nextafter(res.u0, 0.0), 0.0)
+            above = math.nextafter(math.nextafter(res.u0, 1.0), 1.0)
+            assert poly(below, c) < 0 < poly(above, c)
 
     def test_heavier_companion_shrinks_threshold(self):
         # the stable window in u shrinks as the mass ratio grows
