@@ -231,12 +231,7 @@ def cmd_equilibrium(args) -> int:
         "omega2": re.omega * re.omega,
         "period": re.period if family is Family.ELLIPTIC else None,
         "generator": {"E": re.xi.E, "H": re.xi.H, "P": re.xi.P},
-        "configuration": {
-            "x1": re.config.q1.x,
-            "y1": re.config.q1.y,
-            "x2": re.config.q2.x,
-            "y2": re.config.q2.y,
-        },
+        "configuration": dict(zip(("x1", "y1", "x2", "y2"), re.config.coords())),
         "initial_state": dict(
             zip(
                 ("x1", "y1", "x2", "y2", "px1", "py1", "px2", "py2"),

@@ -9,7 +9,6 @@ equivariant momentum map.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 
@@ -66,6 +65,10 @@ class Configuration:
     def distance(self) -> float:
         return hyperbolic_distance(self.q1, self.q2)
 
+    def coords(self) -> tuple:
+        """Chart coordinates (x1, y1, x2, y2)."""
+        return self.q1.x, self.q1.y, self.q2.x, self.q2.y
+
 
 @dataclass(frozen=True)
 class PhaseState:
@@ -78,9 +81,8 @@ class PhaseState:
     py2: float
 
     def as_array(self) -> np.ndarray:
-        q1, q2 = self.config.q1, self.config.q2
         return np.array(
-            [q1.x, q1.y, q2.x, q2.y, self.px1, self.py1, self.px2, self.py2]
+            [*self.config.coords(), self.px1, self.py1, self.px2, self.py2]
         )
 
     @staticmethod
@@ -98,8 +100,9 @@ def phase_state(x1, y1, x2, y2, px1, py1, px2, py2) -> PhaseState:
 
 # -- potential -----------------------------------------------------------
 #
-# Each formula below takes chart coordinates as floats or as arrays alike;
-# the dataclass API passes floats and trajectory code passes columns.
+# Each formula below takes chart coordinates as floats, arrays, complex
+# numbers or mpmath mpf alike; the dataclass API passes floats, trajectory
+# code passes columns and the stability oracles pass complex steps.
 
 def _potential(x1, y1, x2, y2, params):
     """-k m1 m2 coth(d) through the chart formula, with no inverse
@@ -164,15 +167,13 @@ def potential(config: Configuration, params: Params) -> float:
     Agrees with the coth-of-distance form to rounding. Tends to -inf like
     -1/d at collision and to -k m1 m2 at infinite separation.
     """
-    q1, q2 = config.q1, config.q2
-    return float(_potential(q1.x, q1.y, q2.x, q2.y, params))
+    return float(_potential(*config.coords(), params))
 
 
 def potential_gradient(config: Configuration, params: Params) -> np.ndarray:
     """Chart gradient of the potential, ordered (x1, y1, x2, y2)."""
-    q1, q2 = config.q1, config.q2
     kmm = params.k * params.m1 * params.m2
-    return np.array(_potential_gradient(q1.x, q1.y, q2.x, q2.y, kmm))
+    return np.array(_potential_gradient(*config.coords(), kmm))
 
 
 # -- energy and equations of motion --------------------------------------
@@ -226,8 +227,7 @@ def velocity_vectors(state: PhaseState, params: Params):
 
 def legendre(config: Configuration, params: Params, xi: AlgebraElement) -> PhaseState:
     """State whose velocity is the generator flow of xi at each body."""
-    q1, q2 = config.q1, config.q2
-    return PhaseState(config, *generator_momenta(xi, q1.x, q1.y, q2.x, q2.y, params))
+    return PhaseState(config, *generator_momenta(xi, *config.coords(), params))
 
 
 # -- symmetry ------------------------------------------------------------
@@ -315,32 +315,64 @@ class LockedInertia:
         return np.linalg.cholesky(self.m)
 
 
+def _body_inertia(x, y, m):
+    """One body's share of the locked inertia, entries (11, 22, 33, 12, 13,
+    23): m <xi_i, xi_j> in the hyperbolic metric at (x, y)."""
+    y2 = y * y
+    r2 = x * x + y2
+    c = m / y2
+    return (
+        0.25 * c * ((r2 + 1.0) ** 2 - 4.0 * y2),
+        c * r2,
+        c,
+        -0.5 * c * x * (1.0 + r2),
+        -0.5 * c * (1.0 + x * x - y2),
+        c * x,
+    )
+
+
+def _locked_inertia(x1, y1, x2, y2, m1, m2):
+    """Rows of the locked inertia tensor, index order (E, H, P)."""
+    i11, i22, i33, i12, i13, i23 = (
+        a + b for a, b in zip(_body_inertia(x1, y1, m1), _body_inertia(x2, y2, m2))
+    )
+    return (i11, i12, i13), (i12, i22, i23), (i13, i23, i33)
+
+
+def _augmented_potential(x1, y1, x2, y2, params, xi):
+    """V - 1/2 <II xi, xi>: the rotational term is the kinetic energy of the
+    state that moves with the generator flow of xi."""
+    p = generator_momenta(xi, x1, y1, x2, y2, params)
+    return _potential(x1, y1, x2, y2, params) - _kinetic(x1, y1, x2, y2, *p, params)
+
+
+def _rotational_gradient(xi, x, y, m):
+    """Chart gradient of one body's rotational term m |gen(xi)|^2 / (2 y^2);
+    the generator's chart Jacobian is [[a, b], [-b, a]], a = H - E x, b = E y."""
+    gx, gy = generator_field(xi, x, y)
+    a = xi.H - xi.E * x
+    b = xi.E * y
+    c = m / (y * y)
+    return c * (gx * a - gy * b), c * (gx * b + gy * a - (gx * gx + gy * gy) / y)
+
+
+def _augmented_potential_gradient(x1, y1, x2, y2, params, xi):
+    """Chart gradient (x1, y1, x2, y2) of _augmented_potential."""
+    kmm = params.k * params.m1 * params.m2
+    gx1, gy1, gx2, gy2 = _potential_gradient(x1, y1, x2, y2, kmm)
+    rx1, ry1 = _rotational_gradient(xi, x1, y1, params.m1)
+    rx2, ry2 = _rotational_gradient(xi, x2, y2, params.m2)
+    return gx1 - rx1, gy1 - ry1, gx2 - rx2, gy2 - ry2
+
+
 def locked_inertia(config: Configuration, params: Params) -> LockedInertia:
     """Kinetic-metric Gram matrix of the three generator fields.
 
     Entry (i, j) is sum_bodies m <xi_i at q, xi_j at q> in the hyperbolic
-    metric; closed forms below avoid assembling the generators.
+    metric; closed forms avoid assembling the generators.
     """
-    i11 = i22 = i33 = i12 = i13 = i23 = 0.0
-    for (p, m) in ((config.q1, params.m1), (config.q2, params.m2)):
-        x, y = p.x, p.y
-        y2 = y * y
-        r2 = x * x + y2
-        i11 += 0.25 * m * ((r2 + 1.0) ** 2 - 4.0 * y2) / y2
-        i22 += m * r2 / y2
-        i33 += m / y2
-        i12 += -0.5 * m * x * (1.0 + r2) / y2
-        i13 += -0.5 * m * (1.0 + x * x - y2) / y2
-        i23 += m * x / y2
-    return LockedInertia(
-        np.array(
-            [
-                [i11, i12, i13],
-                [i12, i22, i23],
-                [i13, i23, i33],
-            ]
-        )
-    )
+    rows = _locked_inertia(*config.coords(), params.m1, params.m2)
+    return LockedInertia(np.array(rows))
 
 
 def augmented_potential(
@@ -348,32 +380,11 @@ def augmented_potential(
 ) -> float:
     """Potential corrected by the rotational kinetic term,
     V - 1/2 <II xi, xi>. Relative equilibria are its critical points."""
-    return potential(config, params) - 0.5 * locked_inertia(config, params).bilinear(
-        xi, xi
-    )
+    return float(_augmented_potential(*config.coords(), params, xi))
 
 
 def augmented_potential_gradient(
     config: Configuration, params: Params, xi: AlgebraElement
 ) -> np.ndarray:
-    """Chart gradient of the augmented potential, ordered (x1, y1, x2, y2).
-
-    The correction term per body is m |gen(xi)|^2 / (2 y^2), differentiated
-    with the generator's chart Jacobian in closed form.
-    """
-    grad = potential_gradient(config, params)
-    out = np.array(grad)
-    for i, (p, m) in enumerate(((config.q1, params.m1), (config.q2, params.m2))):
-        x, y = p.x, p.y
-        gx, gy = generator_field(xi, x, y)
-        # chart Jacobian of the generator field
-        dgx_dx = -xi.E * x + xi.H
-        dgx_dy = xi.E * y
-        dgy_dx = -xi.E * y
-        dgy_dy = -xi.E * x + xi.H
-        y2 = y * y
-        d_dx = (gx * dgx_dx + gy * dgy_dx) * m / y2
-        d_dy = (gx * dgx_dy + gy * dgy_dy) * m / y2 - m * (gx * gx + gy * gy) / (y2 * y)
-        out[2 * i] -= d_dx
-        out[2 * i + 1] -= d_dy
-    return out
+    """Chart gradient of the augmented potential, ordered (x1, y1, x2, y2)."""
+    return np.array(_augmented_potential_gradient(*config.coords(), params, xi))

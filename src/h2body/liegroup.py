@@ -271,18 +271,21 @@ def infinitesimal_generator(xi: AlgebraElement, p: Point) -> TangentVector:
 
 
 def bracket(xi: AlgebraElement, eta: AlgebraElement) -> AlgebraElement:
-    """Lie bracket [xi, eta]."""
-    a = xi.matrix() @ eta.matrix() - eta.matrix() @ xi.matrix()
-    return AlgebraElement.from_matrix(a)
+    """Lie bracket [xi, eta] from the structure constants [E, H] = E + P,
+    [E, P] = -H, [H, P] = P."""
+    eh = xi.E * eta.H - xi.H * eta.E
+    ep = xi.E * eta.P - xi.P * eta.E
+    hp = xi.H * eta.P - xi.P * eta.H
+    return AlgebraElement(eh, -ep, eh + hp)
 
 
 def ad_star(xi: AlgebraElement, mu: CoalgebraElement) -> CoalgebraElement:
     """Coadjoint action ad*_xi mu = [mu, xi] under the trace pairing.
 
-    Satisfies <ad*_xi mu, eta> = <mu, [xi, eta]> for all eta.
+    Component i is <mu, [xi, basis_i]>, so <ad*_xi mu, eta> = <mu, [xi, eta]>
+    for all eta.
     """
-    m = mu.matrix() @ xi.matrix() - xi.matrix() @ mu.matrix()
-    return CoalgebraElement.from_matrix(m)
+    return CoalgebraElement(*(mu.pair(bracket(xi, b)) for b in (XI_E, XI_H, XI_P)))
 
 
 def adjoint(g: GroupElement, xi: AlgebraElement) -> AlgebraElement:

@@ -4,9 +4,10 @@ The reduced energy-momentum test splits the admissible variations at an
 equilibrium into a rigid part, spanned by algebra directions transverse to
 the momentum isotropy, and an internal shape part. Definiteness of the
 second variation on each part decides stability. Both blocks have closed
-forms here; each also has an independent numerical oracle (a definitional
-assembly for the rigid block, a finite-difference Hessian for the internal
-one) so the closed forms never go unchecked.
+forms here; each also has an independent numerical oracle so the closed
+forms never go unchecked. The rigid block is assembled from its definition.
+The internal block is differentiated exactly through the chart definitions
+of the augmented potential and the locked inertia, by the complex step.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NonPositiveDistance, OutOfRange
-from .geom import Point, _tanh_sech
+from .geom import _tanh_sech
 from .liegroup import (
     XI_E,
     XI_H,
@@ -29,22 +30,19 @@ from .liegroup import (
     bracket,
 )
 from .dynamics import (
-    Configuration,
-    Params,
-    augmented_potential,
+    _augmented_potential_gradient,
+    _locked_inertia,
     legendre,
     locked_inertia,
     momentum_map,
 )
 from .equilibria import Family, RelativeEquilibrium
 
-# |internal block| below this (times m2^2 k) is reported as degenerate
+# |stability indicator| below this is reported as degenerate
 _DEGENERATE_BAND = 1e-9
-# step for the directional derivative of the locked inertia tensor
-_DII_STEP = 1e-6
-# step for the finite-difference Hessian of the augmented potential; the
-# fourth-order stencil keeps roundoff near 1e-9 at this step
-_HESS_STEP = 1e-3
+# imaginary step of the complex-step derivative; it enters only at second
+# order, so any step this small is exact to rounding
+_CS_STEP = 1e-30
 
 
 class Verdict(Enum):
@@ -82,9 +80,10 @@ def stability_polynomial(x: float, c: float) -> float:
     """Polynomial whose unique root in (0, 1) is the stability threshold.
 
     Equals (3 x^2 + 1)(x^2 - 1)^3 + 16 c^2 x^6; negative exactly on the
-    stable side."""
+    stable side. The last term is squared as (4 c x^3)^2, grouped so that
+    no factor overflows while the threshold is representable."""
     x2 = x * x
-    return 3.0 * x2 ** 4 + (16.0 * c * c - 8.0) * x2 ** 3 + 6.0 * x2 ** 2 - 1.0
+    return (3.0 * x2 + 1.0) * (x2 - 1.0) ** 3 + (4.0 * (c * x) * x2) ** 2
 
 
 # -- momentum and rigid block --------------------------------------------
@@ -108,18 +107,20 @@ def rig_basis(family: Family) -> tuple[AlgebraElement, AlgebraElement]:
 
 def rig_block(re: RelativeEquilibrium) -> np.ndarray:
     """Closed-form rigid block of the second variation, in rig_basis order."""
-    u1 = math.tanh(re.d1)
+    u1, s1 = _tanh_sech(re.d1)
     u2, s2 = _tanh_sech(re.d2)
+    # 1 - u1 u2 without the cancellation as both tanh approach 1
+    one_minus = s1 * s2 * math.cosh(re.d1 - re.d2)
     w2 = re.omega * re.omega
     m2 = re.params.m2
     if re.family is Family.HYPERBOLIC:
-        pre = m2 * w2 * (u1 + u2) * u2 / (s2 * s2 * (1.0 - u1 * u2))
+        pre = m2 * w2 * (u1 + u2) * u2 / (s2 * s2 * one_minus)
         return pre * np.array(
             [[1.0, -1.0], [-1.0, 1.0 / (u1 * u1 * u2 * u2)]]
         )
     pre = m2 * w2 * (u1 + u2) * u2 / (s2 * s2)
     return pre * np.array(
-        [[1.0 / (1.0 - u1 * u2), 0.0], [0.0, 1.0 + u1 * u2]]
+        [[1.0 / one_minus, 0.0], [0.0, 1.0 + u1 * u2]]
     )
 
 
@@ -194,57 +195,40 @@ def internal_block(re: RelativeEquilibrium) -> float:
     )
 
 
-def locked_inertia_derivative(
-    config: Configuration, params: Params, w: np.ndarray
-) -> np.ndarray:
-    """Directional derivative of the locked inertia tensor along the chart
-    direction w, by central differences with step 1e-6 (scaled)."""
-    q = np.array([config.q1.x, config.q1.y, config.q2.x, config.q2.y])
-    h = _DII_STEP * max(1.0, float(np.max(np.abs(q))))
-    wn = np.asarray(w, dtype=float)
-    plus = locked_inertia(_config_of(q + h * wn), params).m
-    minus = locked_inertia(_config_of(q - h * wn), params).m
-    return (plus - minus) / (2.0 * h)
+def _cs_derivative(f, q, w, *args):
+    """Derivative of f(q, *args) along w at the chart point q, by the
+    complex step Im f(q + i h w, *args) / h (Squire & Trapp, SIAM Rev. 40,
+    1998).
 
-
-def _config_of(q) -> Configuration:
-    return Configuration(Point(q[0], q[1]), Point(q[2], q[3]))
+    Exact to rounding for any f built from + - * / and sqrt: nothing is
+    subtracted, so no step size trades truncation against cancellation.
+    """
+    z = f(*(qi + 1j * _CS_STEP * wi for qi, wi in zip(q, w)), *args)
+    return np.imag(z) / _CS_STEP
 
 
 def _correction(re: RelativeEquilibrium, w: np.ndarray) -> tuple[float, AlgebraElement]:
     """Momentum-constraint correction <(DII w) xi, II^{-1} (DII w) xi> and
     the algebra element II^{-1} (DII w) xi it hinges on."""
-    dii = locked_inertia_derivative(re.config, re.params, w)
+    q, p = re.config.coords(), re.params
+    dii = _cs_derivative(_locked_inertia, q, w, p.m1, p.m2)
     mvec = dii @ re.xi.coords()
-    ii = locked_inertia(re.config, re.params)
-    eta = np.linalg.solve(ii.m, mvec)
-    return float(mvec @ eta), AlgebraElement(eta[0], eta[1], eta[2])
+    eta = locked_inertia(re.config, p).inverse_apply(CoalgebraElement(*mvec))
+    return float(mvec @ eta.coords()), eta
 
 
 def internal_block_oracle(re: RelativeEquilibrium) -> float:
-    """Internal block by finite differences, independent of the closed form.
+    """Internal block from the definitions, independent of the closed form.
 
-    Second directional difference of the augmented potential along the
-    internal direction (five-point fourth-order stencil, so the oracle
-    itself is reliable to ~1e-9 absolute) plus the locked-inertia
-    correction term."""
+    Second derivative of the augmented potential along the internal
+    direction w, as w . (complex step of its chart gradient along w), plus
+    the locked-inertia correction term. The tests hold that gradient to the
+    complex step of the augmented potential itself."""
     w = v_int_generator(re.family, re.d1, re.d2)
-    q = np.array([re.config.q1.x, re.config.q1.y, re.config.q2.x, re.config.q2.y])
-    wnorm = float(np.linalg.norm(w))
-    wn = w / wnorm
-    h = _HESS_STEP * max(1.0, float(np.max(np.abs(q))))
-
-    def f(step):
-        return augmented_potential(_config_of(q + step * wn), re.params, re.xi)
-
-    d2 = (
-        (-f(2.0 * h) + 16.0 * f(h) - 30.0 * f(0.0) + 16.0 * f(-h) - f(-2.0 * h))
-        / (12.0 * h * h)
-        * wnorm
-        * wnorm
-    )
+    q = re.config.coords()
+    hess_w = _cs_derivative(_augmented_potential_gradient, q, w, re.params, re.xi)
     corr, _ = _correction(re, w)
-    return d2 + corr
+    return float(w @ hess_w) + corr
 
 
 def internal_membership(re: RelativeEquilibrium) -> dict:
@@ -311,8 +295,11 @@ def classify_stability(re: RelativeEquilibrium) -> StabilityReport:
     The signature lists the sign of the two rigid directions, the internal
     direction, and the kinetic block (positive by construction). All plus
     means nonlinearly stable modulo the residual symmetry; a minus means
-    unstable; a zero marks the degenerate band |internal| < 1e-9 m2^2 k
-    where the quadratic test is silent.
+    unstable. A zero marks the degenerate band where the quadratic test is
+    silent: elliptic equilibria whose stability indicator, the dimensionless
+    factor that sets the sign of the internal block, is below 1e-9 in
+    magnitude. The hyperbolic block is minus a product of positive factors,
+    so that family is never degenerate.
     """
     ar = rig_block(re)
     try:
@@ -321,10 +308,13 @@ def classify_stability(re: RelativeEquilibrium) -> StabilityReport:
     except np.linalg.LinAlgError:
         ar_definite = False
     internal = internal_block(re)
+    u, v = math.tanh(re.d1), math.tanh(re.d2)
 
-    band = _DEGENERATE_BAND * re.params.m2 * re.params.m2 * re.params.k
     ar_signs = ("+", "+") if ar_definite else ("-", "-")
-    if abs(internal) < band:
+    if (
+        re.family is Family.ELLIPTIC
+        and abs(stability_indicator(u, v)) < _DEGENERATE_BAND
+    ):
         internal_sign = "0"
         verdict = Verdict.DEGENERATE
     elif internal > 0.0:
@@ -340,8 +330,8 @@ def classify_stability(re: RelativeEquilibrium) -> StabilityReport:
         d2=re.d2,
         omega=re.omega,
         mass_ratio=re.params.m1 / re.params.m2,
-        u=math.tanh(re.d1),
-        v=math.tanh(re.d2),
+        u=u,
+        v=v,
         rig=ar,
         rig_definite=ar_definite,
         internal=internal,

@@ -176,6 +176,17 @@ class TestStabilityCommand:
         assert doc["mass_ratio"] == pytest.approx(2.0)
         assert doc["threshold_d1"] < math.atanh(1.0 / math.sqrt(3.0))
 
+    @pytest.mark.parametrize("d1", ["0.01", "6.5", "8", "12"])
+    def test_oracles_agree_far_from_the_middle(self, capsys, d1):
+        # the internal oracle differentiates the chart definitions exactly,
+        # so no step leaves the chart or swamps a small block; far apart
+        # the verdict is unstable, not degenerate
+        code, out, err = run(capsys, "stability", d1)
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["internal_rel_error"] < 1e-9
+        assert doc["report"]["verdict"] == ("stable" if d1 == "0.01" else "unstable")
+
 
 class TestThresholdCurveCommand:
     def test_curve_csv(self, capsys):
@@ -208,6 +219,15 @@ class TestThresholdCurveCommand:
         assert code == 0
         assert out == ""
         assert path.read_text().startswith("#schema=v1\n")
+
+    def test_huge_mass_ratios(self, capsys):
+        # the residual's 16 c^2 x^6 term is squared as (4 c x^3)^2, which
+        # stays finite while the threshold itself is representable
+        code, out, err = run(capsys, "threshold-curve", "1e150", "1e160", "3")
+        assert code == 0, err
+        rows = [[float(v) for v in line.split(",")] for line in out.strip().splitlines()[2:]]
+        assert len(rows) == 3
+        assert all(0.0 < u0 < 1e-49 for _, u0, _ in rows)
 
     def test_bad_range_exits_2(self, capsys):
         code, _, err = run(capsys, "threshold-curve", "2.0", "0.5", "5")

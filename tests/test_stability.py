@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -22,7 +23,6 @@ from h2body import (
     internal_membership,
     intrinsic_stability_bound,
     locked_inertia,
-    locked_inertia_derivative,
     momentum_norm_profile,
     momentum_of,
     partner_distance,
@@ -36,6 +36,9 @@ from h2body import (
     v_of_u,
 )
 
+from h2body.dynamics import _locked_inertia
+from h2body.stability import _cs_derivative
+
 from conftest import random_balanced_re
 
 
@@ -44,6 +47,26 @@ def _elliptic_re(u, c, m2=1.0, k=1.0, sign=1):
     params = Params(c * m2, m2, k)
     d2 = partner_distance(d1, params)
     return build_relative_equilibrium(Family.ELLIPTIC, d1, d2, params, sign=sign)
+
+
+RATIOS = (1e-2, 0.3, 1.0, 3.0, 1e2)
+
+
+def _domain_grid(d1s, ratios):
+    """(family, d1, c, d2) over a grid, leaving out the points whose partner
+    distance is past the binary64 domain (tanh(d2) rounds to 1)."""
+    for c in ratios:
+        params = Params(float(c), 1.0)
+        for d1 in map(float, d1s):
+            d2 = partner_distance(d1, params)
+            if math.tanh(d2) == 1.0:
+                continue
+            for family in Family:
+                yield family, d1, float(c), d2
+
+
+def _re_on_grid(family, d1, c, d2):
+    return build_relative_equilibrium(family, d1, d2, Params(c, 1.0))
 
 
 class TestShapeFunctions:
@@ -137,11 +160,36 @@ class TestRigBlock:
         minus = _elliptic_re(math.tanh(d1), c, sign=-1)
         assert np.allclose(rig_block(plus), rig_block(minus), rtol=1e-14)
 
+    def test_matches_80_digit_closed_form(self):
+        # the same closed form with 1 - u1 u2 evaluated in 80 digits; in
+        # binary64 that difference cancels as both tanh approach 1
+        with mpmath.workdps(80):
+            checked = 0
+            for family, d1, c, d2 in _domain_grid(np.geomspace(1e-6, 19.0, 60), RATIOS):
+                re = _re_on_grid(family, d1, c, d2)
+                u1, u2 = mpmath.tanh(d1), mpmath.tanh(d2)
+                pre = mpmath.mpf(re.omega) ** 2 * (u1 + u2) * u2 * mpmath.cosh(d2) ** 2
+                if family is Family.HYPERBOLIC:
+                    pre /= 1 - u1 * u2
+                    exact = [[pre, -pre], [-pre, pre / (u1 * u1 * u2 * u2)]]
+                else:
+                    exact = [[pre / (1 - u1 * u2), 0], [0, pre * (1 + u1 * u2)]]
+                a = rig_block(re)
+                for i in range(2):
+                    for j in range(2):
+                        if exact[i][j] == 0:
+                            assert a[i, j] == 0.0
+                        else:
+                            err = abs((a[i, j] - exact[i][j]) / exact[i][j])
+                            assert err < 1e-13, (family, d1, c, i, j, float(err))
+                checked += 1
+        assert checked >= 590
+
 
 class TestInternalBlock:
     def test_matches_fd_oracle(self, rng):
-        # closed form against second difference of the augmented potential
-        # plus the inertia correction
+        # closed form against the complex-step second derivative of the
+        # augmented potential plus the inertia correction
         checked = 0
         while checked < 30:
             family = Family.HYPERBOLIC if rng.random() < 0.5 else Family.ELLIPTIC
@@ -149,10 +197,19 @@ class TestInternalBlock:
             closed = internal_block(re)
             band = 1e-6 * re.params.m2 ** 2 * re.params.k
             if abs(closed) < band:
-                continue  # FD cannot resolve a vanishing block relatively
+                continue  # a vanishing block has no relative error to check
             oracle = internal_block_oracle(re)
             assert oracle == pytest.approx(closed, rel=1e-5)
             checked += 1
+
+    def test_oracle_matches_on_a_grid(self):
+        # the complex-step oracle against the closed form across mass
+        # ratios, both families, and d1 from 0.01 to 6
+        for family, d1, c, d2 in _domain_grid(np.geomspace(0.01, 6.0, 25), RATIOS):
+            re = _re_on_grid(family, d1, c, d2)
+            closed = internal_block(re)
+            oracle = internal_block_oracle(re)
+            assert oracle == pytest.approx(closed, rel=1e-8, abs=0.0), (family, d1, c)
 
     def test_hyperbolic_always_negative(self, rng):
         for _ in range(40):
@@ -185,12 +242,23 @@ class TestInternalBlock:
             assert rep["complement_norm"] < 1e-7 * max(1.0, rep["member_norm"])
 
     def test_inertia_derivative_is_symmetric_fd(self, rng):
-        re = random_balanced_re(rng, Family.ELLIPTIC)
-        w = v_int_generator(re.family, re.d1, re.d2)
-        dii = locked_inertia_derivative(re.config, re.params, w)
-        assert np.allclose(dii, dii.T, atol=1e-10)
-        # sanity: nonzero and finite
-        assert 0.0 < float(np.max(np.abs(dii))) < 1e6
+        # the complex step of the locked inertia along v_int, against
+        # central differences of the same definition
+        for _ in range(10):
+            re = random_balanced_re(rng, Family.ELLIPTIC)
+            w = v_int_generator(re.family, re.d1, re.d2)
+            q = np.array(re.config.coords())
+            m1, m2 = re.params.m1, re.params.m2
+            dii = _cs_derivative(_locked_inertia, q, w, m1, m2)
+            h = 1e-6
+            fd = (
+                np.array(_locked_inertia(*(q + h * w), m1, m2))
+                - np.array(_locked_inertia(*(q - h * w), m1, m2))
+            ) / (2.0 * h)
+            scale = float(np.max(np.abs(dii)))
+            assert 0.0 < scale < 1e6
+            assert np.array_equal(dii, dii.T)
+            assert np.allclose(dii, fd, rtol=0.0, atol=1e-7 * scale)
 
 
 class TestClassifyStability:
@@ -213,6 +281,25 @@ class TestClassifyStability:
         rep = classify_stability(_elliptic_re(u0, 1.0))
         assert rep.verdict is Verdict.DEGENERATE
         assert rep.signature[2] == "0"
+
+    def test_verdicts_over_the_domain(self):
+        # elliptic verdicts follow the intrinsic bound and hyperbolic ones
+        # are unstable, out to d1 = 19 where the internal block is ~1e-33;
+        # degenerate only next to the threshold
+        u0 = {c: threshold(c).u0 for c in np.geomspace(1e-2, 1e2, 15).tolist()}
+        checked = 0
+        for family, d1, c, d2 in _domain_grid(np.geomspace(1e-6, 19.0, 120), u0):
+            rep = classify_stability(_re_on_grid(family, d1, c, d2))
+            if rep.verdict is Verdict.DEGENERATE:
+                assert family is Family.ELLIPTIC
+                assert abs(math.tanh(d1) - u0[c]) < 1e-8, (d1, c)
+            elif family is Family.HYPERBOLIC:
+                assert rep.verdict is Verdict.UNSTABLE, (d1, c)
+            else:
+                stable = intrinsic_stability_bound(d1, c)
+                assert rep.verdict is (Verdict.STABLE if stable else Verdict.UNSTABLE), (d1, c)
+            checked += 1
+        assert checked >= 3550
 
     def test_hyperbolic_always_unstable(self, rng):
         for _ in range(20):
@@ -240,10 +327,12 @@ class TestThreshold:
         assert res.residual < 1e-14
 
     def test_residual_small_on_log_grid(self):
-        for c in np.geomspace(0.02, 50.0, 40):
+        # out to c = 1e300, where 16 c^2 alone would overflow
+        grid = np.concatenate([np.geomspace(0.02, 50.0, 40), np.geomspace(1e-12, 1e300, 200)])
+        for c in grid:
             res = threshold(float(c))
             assert 0.0 < res.u0 < 1.0
-            assert res.residual < 1e-12
+            assert res.residual <= 1e-15, c
 
     def test_sign_change_across_root(self):
         for c in (0.3, 1.0, 5.0):
