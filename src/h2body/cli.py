@@ -6,10 +6,10 @@ equilibrium), stability (closed-form blocks against their numerical
 oracles), threshold-curve (stability threshold over a mass-ratio range),
 and perturb (seeded perturbation experiment from a scenario file).
 
-Exit codes: 0 success, 2 validation failure, 3 collision during
-integration, 4 integrator step underflow, 5 a closed form disagreeing with
-its oracle (stability blocks, rate or criticality cross-checks, intrinsic
-geometry checks).
+Exit codes: 0 success, 2 validation failure or an output path that
+cannot be written, 3 collision during integration, 4 integrator step
+underflow, 5 a closed form disagreeing with its oracle (stability blocks,
+rate or criticality cross-checks, intrinsic geometry checks).
 JSON numbers are written as the shortest repr that round-trips binary64;
 CSV numbers with 17 significant digits.
 """
@@ -463,6 +463,10 @@ def main(argv=None) -> int:
         return 5
     except (ScenarioError, H2BodyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # scenario reads raise ScenarioError, so this is an output path
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
 
 

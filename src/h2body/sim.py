@@ -41,6 +41,7 @@ from .geom import separation
 
 _CSV_SCHEMA = "#schema=v1"
 _CSV_COLUMNS = "t,x1,y1,x2,y2,px1,py1,px2,py2,energy,Jh,Je,Jp,dist"
+_CSV_ROW = ",".join(["%.17g"] * len(_CSV_COLUMNS.split(","))) + "\n"
 
 
 # -- deterministic random numbers ----------------------------------------
@@ -253,19 +254,26 @@ _DP54_P = np.array([
 
 
 def _dp54_error_norm(y, y_new, ks, h, rtol, atol):
-    # one trajectory only, so ks is (7, n)
-    return _rms(np.dot(_DP54_E, ks) * h / _scale(y, y_new, rtol, atol))
+    # one trajectory only, so ks is (7, n): the rms of the scaled error
+    # estimate, its squares summed by one dot
+    x = np.dot(_DP54_E, ks) * h / _scale(y, y_new, rtol, atol)
+    return math.sqrt(np.dot(x, x) / len(x))
+
+
+# four copies of x whose running products are x, x^2, x^3, x^4, rounded as
+# scipy's RK45 rounds them (np.power rounds x^3 and x^4 differently)
+_ONES = np.ones(4)
 
 
 def _quartic(fun, t_old, h, y_old, y, ks):
     """Quartic interpolant of one trajectory over [t_old, t_old + h], at a
-    time or a 1-D array of times; it takes no call of fun."""
+    time or a 1-D array of times: y_old + h q (x, x^2, x^3, x^4) with
+    x = (t - t_old) / h and q = ks^T P; it takes no call of fun."""
     q = np.dot(ks.T, _DP54_P)
 
     def sol(t):
         x = (np.asarray(t, dtype=float) - t_old) / h
-        p = np.cumprod(np.broadcast_to(x, (4,) + x.shape), axis=0)
-        dy = h * np.dot(q, p)
+        dy = h * np.dot(q, np.multiply.accumulate(np.multiply.outer(_ONES, x)))
         return dy + (y_old if dy.ndim == 1 else y_old[:, None])
 
     return sol, 0
@@ -681,15 +689,15 @@ def _solve_one(pair, fun, t, t_bound, y, rtol, atol, max_step, t_eval, events):
         if t_eval is None:
             ts.append(t_out)
             ys.append(y_out)
-        else:
+        elif i_eval < t_eval.size and t_eval[i_eval] <= t_out:
+            # the step reached the next sample: take every one it reached
             j = int(np.searchsorted(t_eval, t_out, side="right"))
-            if j > i_eval:
-                if sol is None:
-                    sol, calls = pair.dense(fun, t_old, h, y_old, y, ks)
-                    nfev, dense = nfev + calls, dense + 1
-                ts.append(t_eval[i_eval:j])
-                ys.append(sol(t_eval[i_eval:j]))
-                i_eval = j
+            if sol is None:
+                sol, calls = pair.dense(fun, t_old, h, y_old, y, ks)
+                nfev, dense = nfev + calls, dense + 1
+            ts.append(t_eval[i_eval:j])
+            ys.append(sol(t_eval[i_eval:j]))
+            i_eval = j
     if t_eval is None:
         t_out, y_out = np.array(ts), np.array(ys).T
     else:
@@ -917,9 +925,8 @@ def write_trajectory_csv(record: TrajectoryRecord, path) -> None:
         f.write(_CSV_SCHEMA + "\n")
         f.write(_CSV_COLUMNS + "\n")
         for i in range(record.t.shape[0]):
-            row = [record.t[i], *record.states[i], record.energy[i],
-                   *record.momentum[i], record.distance[i]]
-            f.write(",".join("%.17g" % v for v in row) + "\n")
+            f.write(_CSV_ROW % (record.t[i], *record.states[i], record.energy[i],
+                               *record.momentum[i], record.distance[i]))
 
 
 def read_trajectory_csv(path) -> TrajectoryRecord:

@@ -582,6 +582,29 @@ def test_cli_import_builds_no_parser(tmp_path):
     assert after_main > 0  # the counter sees the build
 
 
+@pytest.mark.parametrize(
+    "command", ["simulate", "equilibrium", "stability", "threshold-curve", "perturb"]
+)
+def test_unwritable_output_exits_2(capsys, tmp_path, command):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")  # a regular file cannot hold the output
+    out = str(blocker / "out")
+    argv = {
+        "simulate": ("simulate", "--scenario", simulate_scenario(tmp_path)[0]),
+        "equilibrium": ("equilibrium", "elliptic", "0.5"),
+        "stability": ("stability", "0.5"),
+        "threshold-curve": ("threshold-curve", "0.5", "2", "3"),
+        "perturb": ("perturb", "--scenario", TestPerturbCommand._scenario(tmp_path)),
+    }[command]
+    # simulate makes its output directory, which fails where a file is
+    code, stdout, err = run(capsys, *argv, "--out", str(blocker) if command == "simulate" else out)
+    assert code == 2
+    assert stdout == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: cannot write output: ")
+    assert str(blocker) in err
+
+
 class TestParserReuse:
     """main() reuses one parser; no call may see what an earlier one parsed."""
 

@@ -34,6 +34,8 @@ from h2body import (
     velocity_vectors,
 )
 
+from h2body.dynamics import _field_array
+
 from conftest import fd_gradient, random_algebra, random_config_state, random_group
 
 
@@ -153,6 +155,26 @@ class TestEnergyAndField:
             f = hamiltonian_vector_field(s, params)
             assert np.allclose(f[:4], dh[4:], rtol=1e-6, atol=1e-7)
             assert np.allclose(f[4:], -dh[:4], rtol=1e-6, atol=1e-7)
+
+    def test_lone_field_is_the_batch_formula(self, rng):
+        # a lone state runs the field on Python floats, a batch on its rows;
+        # each column of a batch must equal its lone call bit for bit
+        n = 64
+        x1, x2 = 3.0 * (2.0 * rng.random((2, n)) - 1.0)
+        y1, y2 = np.exp(4.0 * (2.0 * rng.random((2, n)) - 1.0))
+        y1[:8] = 1e6 * (1.0 + rng.random(8))  # far up the chart
+        y2[:8] = 1e6 * (1.0 + rng.random(8))
+        # near collision: body 2 a few 1e-6 of y1 away from body 1
+        x2[8:16] = x1[8:16] + 1e-6 * y1[8:16] * rng.standard_normal(8)
+        y2[8:16] = y1[8:16] * (1.0 + 1e-6 * rng.standard_normal(8))
+        Z = np.vstack([x1, y1, x2, y2, 10.0 * rng.standard_normal((4, n))])
+        m1, m2, k = 0.3, 2.7, 1.3
+        batch = _field_array(Z, m1, m2, k)
+        assert np.all(np.isfinite(batch))
+        for j in range(n):
+            lone = _field_array(Z[:, j], m1, m2, k)
+            assert lone.shape == (8,) and lone.dtype == np.float64
+            assert np.array_equal(lone, batch[:, j]), j
 
     def test_velocities_raise_momenta(self, rng):
         s, params = random_config_state(rng)

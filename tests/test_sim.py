@@ -14,6 +14,7 @@ from h2body import (
     Params,
     PerturbationExperiment,
     PhaseState,
+    TrajectoryRecord,
     Xoshiro256StarStar,
     analytic_states,
     analytic_trajectory,
@@ -195,6 +196,23 @@ class TestRecords:
         assert lines[0] == "#schema=v1"
         assert lines[1].startswith("t,x1,y1,x2,y2,")
         assert len(lines) == 2 + rec.t.shape[0]
+
+    def test_csv_bytes(self, tmp_path):
+        # each data line is its 14 values at %.17g, comma-separated, even
+        # for a signed zero, the smallest subnormal and the largest float
+        values = np.resize([-0.0, 5e-324, 0.1, 1.7976931348623157e308], (3, 14))
+        rec = TrajectoryRecord(
+            t=values[:, 0],
+            states=values[:, 1:9],
+            energy=values[:, 9],
+            momentum=values[:, 10:13],
+            distance=values[:, 13],
+        )
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(rec, path)
+        lines = path.read_bytes().decode().split("\n")
+        assert lines[2:] == [",".join("%.17g" % v for v in row) for row in values] + [""]
+        assert lines[2].startswith("-0,4.9406564584124654e-324,0.10000000000000001,")
 
     def test_csv_rejects_foreign_files(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -398,6 +416,18 @@ class TestEngine:
         # consistency: each stage's weights sum to its node, the solution's to 1
         np.testing.assert_allclose(pair.a.sum(axis=1), pair.c, rtol=0.0, atol=4e-15)
         assert pair.a[pair.n_stages].sum() == pytest.approx(1.0, rel=0.0, abs=1e-15)
+
+    def test_dp54_error_norm_matches_the_ordered_sum(self):
+        # the norm sums its squares with one dot, whose order may differ
+        # from the left-to-right sum of _rms by a few roundings and no more
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            y, y_new = rng.standard_normal((2, 8)) * 10.0 ** rng.integers(-3, 4, (2, 8))
+            ks = rng.standard_normal((7, 8)) * 10.0 ** rng.integers(-3, 4, (7, 8))
+            h, rtol, atol = 10.0 ** rng.uniform(-4, 0), 1e-10, 1e-12
+            x = np.dot(sim_mod._DP54_E, ks) * h / sim_mod._scale(y, y_new, rtol, atol)
+            got = sim_mod._dp54_error_norm(y, y_new, ks, h, rtol, atol)
+            assert got == pytest.approx(sim_mod._rms(x), rel=8 * np.finfo(float).eps, abs=0.0)
 
     def test_unsampled_trajectory_matches_scipy_dop853_over_100_periods(self):
         re = _equal_mass_elliptic()
