@@ -10,8 +10,9 @@ Exit codes: 0 success, 2 validation failure or an output path that
 cannot be written, 3 collision during integration, 4 integrator step
 underflow, 5 a closed form disagreeing with its oracle (stability blocks,
 rate or criticality cross-checks, intrinsic geometry checks).
-JSON numbers are written as the shortest repr that round-trips binary64;
-CSV numbers with 17 significant digits.
+JSON documents are written on one line (pipe them through
+``python -m json.tool`` to indent them), numbers as the shortest repr that
+round-trips binary64; CSV numbers with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import (
     ScenarioError,
     StepSizeUnderflow,
 )
-from .dynamics import Params, phase_state
+from .dynamics import Params, momentum_map, phase_state
 from .equilibria import (
     Family,
     build_relative_equilibrium,
@@ -43,12 +44,9 @@ from .equilibria import (
 )
 from .stability import (
     classify_stability,
-    internal_block,
     internal_block_oracle,
     internal_membership,
     intrinsic_stability_bound,
-    momentum_of,
-    rig_block,
     rig_block_oracle,
     threshold,
 )
@@ -69,8 +67,9 @@ _INTERNAL_ORACLE_TOL = 1e-5
 # -- output --------------------------------------------------------------
 
 def _emit(doc: dict, out_path: str | None) -> None:
-    # floats print as their shortest round-tripping repr; NaN raises ValueError
-    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    # one line, so the C encoder runs; floats print as their shortest
+    # round-tripping repr; NaN and inf raise ValueError
+    text = json.dumps(doc, allow_nan=False) + "\n"
     if out_path:
         with open(out_path, "w") as f:
             f.write(text)
@@ -214,8 +213,8 @@ def cmd_equilibrium(args) -> int:
     params = Params(args.m1, args.m2, args.k)
     family = Family(args.family)
     re = _build_re(family, args.d1, params, args.sign)
-    mu = momentum_of(re)
     z0 = initial_state(re)
+    mu = momentum_map(z0)
     report = classify_stability(re)
     intrinsic = intrinsic_checks(re).as_dict()
     doc = {
@@ -257,16 +256,16 @@ def cmd_equilibrium(args) -> int:
 def cmd_stability(args) -> int:
     params = Params(args.m1, args.m2, args.k)
     re = _build_re(Family.ELLIPTIC, args.d1, params, 1)
-    ar = rig_block(re)
+    report = classify_stability(re)
+    ar = report.rig
     ar_oracle = rig_block_oracle(re)
     ar_err = float(np.max(np.abs(ar - ar_oracle)))
-    inner = internal_block(re)
+    inner = report.internal
     inner_oracle = internal_block_oracle(re)
     inner_err = abs(inner - inner_oracle) / max(abs(inner), 1e-300)
     ar_ok = ar_err <= _AR_ORACLE_TOL * max(1.0, float(np.max(np.abs(ar))))
     inner_ok = inner_err <= _INTERNAL_ORACLE_TOL
     c = params.m1 / params.m2
-    report = classify_stability(re)
     curve = threshold(c)
     doc = {
         "d1": re.d1,

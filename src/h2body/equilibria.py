@@ -13,7 +13,7 @@ no equilibria.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -284,6 +284,9 @@ class RelativeEquilibrium:
     omega: float
     xi: AlgebraElement
     config: Configuration
+    # intermediates derived from the fields above, kept with the object so
+    # that the checks of one analysis compute each once (see stability)
+    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def distance(self) -> float:
@@ -317,6 +320,9 @@ def build_relative_equilibrium(
             "the distances do not balance the masses"
         )
 
+    # the collision cutoff first: at tiny d the rate formulas divide by an
+    # underflowed sinh(d)^2
+    config = canonical_configuration(d1, d2)
     d = d1 + d2
     omega2 = 2.0 * params.k * params.m1 / (math.sinh(d) ** 2 * math.sinh(2.0 * d2))
     omega2_alt = 2.0 * params.k * params.m2 / (math.sinh(d) ** 2 * math.sinh(2.0 * d1))
@@ -333,7 +339,6 @@ def build_relative_equilibrium(
     omega = sign * math.sqrt(omega2)
     basis = XI_H if family is Family.HYPERBOLIC else XI_E
     xi = omega * basis
-    config = canonical_configuration(d1, d2)
 
     grad = augmented_potential_gradient(config, params, xi)
     # the gradient's terms scale like the force k m1 m2 / sinh(d)^2
@@ -455,27 +460,31 @@ def intrinsic_checks(re: RelativeEquilibrium, n_samples: int = 16) -> IntrinsicR
         expected = Orientation.OPPOSITE
         speeds = (w * math.sinh(re.d1), w * math.sinh(re.d2))
         t_max = re.period
-    times = np.linspace(0.0, t_max, n_samples, endpoint=False)
+    # linspace(0, t_max, n_samples, endpoint=False), bit for bit
+    times = np.arange(n_samples) * (t_max / n_samples)
     z = analytic_states(re, times)
 
     # columns: body 1, body 2; each looks along the geodesic at the other
-    x, y = z[:, [0, 2]], z[:, [1, 3]]
-    tx, ty = geodesic_direction(x, y, z[:, [2, 0]], z[:, [3, 1]])
+    bodies = z[:, :4].reshape(-1, 2, 2)
+    x, y = bodies[..., 0], bodies[..., 1]
+    tx, ty = geodesic_direction(x, y, x[:, ::-1], y[:, ::-1])
     vx, vy = generator_field(re.xi, x, y)
     vnorm = np.hypot(vx, vy)
     max_perp = float(np.max(np.abs(vx * tx + vy * ty) / vnorm))
     max_speed_err = float(np.max(np.abs(vnorm / y - np.array(speeds))))
     # the two tangents point opposite ways, so equal sides flip one sign
     det = np.sign(tx * vy - ty * vx)
-    verdicts = np.unique(-det[:, 0] * det[:, 1] > 0.0)
+    equal_side = -det[:, 0] * det[:, 1] > 0.0
 
     cx, cy, _, _ = _center_of_mass(*z[:, :4].T, re.params.m1, re.params.m2)
     com_y = np.exp(re.omega * times) if re.family is Family.HYPERBOLIC else 1.0
     max_com_err = float(np.max(separation(cx, cy, 0.0, com_y)))
 
     verdict = None
-    if verdicts.size == 1:
-        verdict = Orientation.EQUAL if verdicts[0] else Orientation.OPPOSITE
+    if equal_side.all():
+        verdict = Orientation.EQUAL
+    elif not equal_side.any():
+        verdict = Orientation.OPPOSITE
     ok = (
         verdict is expected
         and max_perp <= 1e-9

@@ -94,6 +94,36 @@ class TestEquilibriumCommand:
         assert out == ""
         assert err == "error: separation 2.000e-09 is inside the collision cutoff\n"
 
+    @pytest.mark.parametrize(
+        "argv, separation",
+        [
+            (("equilibrium", "elliptic", "1e-104"), "2.000e-104"),
+            (("equilibrium", "elliptic", "1e-150"), "2.000e-150"),
+            # the separation itself underflows
+            (("stability", "1e-300"), "0.000e+00"),
+        ],
+    )
+    def test_tiny_distances_stop_at_the_collision_cutoff(self, capsys, argv, separation):
+        # the cutoff is checked before the rate formulas, whose sinh(d)^2
+        # underflows to 0 at these distances
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: separation {separation} is inside the collision cutoff\n"
+
+    @pytest.mark.parametrize("m1", ["1e-150", "1e-200"])
+    def test_extreme_mass_ratio_hyperbolic(self, capsys, m1):
+        # (tanh d1 tanh d2)^2 underflows below m1 ~ 1e-154; the rigid block
+        # must stay finite and positive definite on both sides
+        code, out, err = run(capsys, "equilibrium", "hyperbolic", "0.5", "--m1", m1)
+        assert code == 0, err
+        report = json.loads(out)["stability"]
+        (a, b), (_, d) = report["rig_block"]
+        assert a > 0.0 and d > 0.0 and math.isfinite(d)
+        assert b == -a
+        assert report["rig_definite"] is True
+        assert report["verdict"] == "unstable"
+
     def test_hyperbolic_has_no_period(self, capsys):
         code, out, _ = run(capsys, "equilibrium", "hyperbolic", "0.7", "--m2", "1.5")
         assert code == 0
@@ -186,6 +216,85 @@ class TestStabilityCommand:
         doc = json.loads(out)
         assert doc["internal_rel_error"] < 1e-9
         assert doc["report"]["verdict"] == ("stable" if d1 == "0.01" else "unstable")
+
+
+def _key_paths(doc, prefix=""):
+    """Every key of a JSON document as a dotted path, in document order."""
+    paths = []
+    for key, value in doc.items():
+        paths.append(prefix + key)
+        if isinstance(value, dict):
+            paths += _key_paths(value, prefix + key + ".")
+    return paths
+
+
+_REPORT_KEYS = [
+    "family", "d1", "d2", "omega", "mass_ratio", "u", "v", "rig_block",
+    "rig_definite", "internal_block", "signature", "verdict",
+]
+
+
+class TestOneLineDocuments:
+    """JSON goes out on one line with the keys, and their order, it always had."""
+
+    def _one_line(self, out):
+        assert out.endswith("\n") and out.count("\n") == 1
+        return json.loads(out)
+
+    def test_equilibrium(self, capsys):
+        code, out, _ = run(capsys, "equilibrium", "elliptic", "0.5")
+        assert code == 0
+        expected = (
+            ["family", "params", "params.m1", "params.m2", "params.k", "d1", "d2",
+             "distance", "theta1", "theta2", "omega", "omega2", "period",
+             "generator", "generator.E", "generator.H", "generator.P",
+             "configuration"]
+            + [f"configuration.{n}" for n in ("x1", "y1", "x2", "y2")]
+            + ["initial_state"]
+            + [f"initial_state.{n}" for n in ("x1", "y1", "x2", "y2", "px1", "py1", "px2", "py2")]
+            + ["momentum", "momentum.e", "momentum.h", "momentum.p", "intrinsic"]
+            + [f"intrinsic.{n}" for n in (
+                "family", "n_samples", "expected_orientation", "orientation",
+                "orientation_consistent", "expected_speeds", "max_speed_error",
+                "max_perp_residual", "max_com_error", "com_speed", "ok")]
+            + ["stability"]
+            + [f"stability.{n}" for n in _REPORT_KEYS]
+        )
+        assert _key_paths(self._one_line(out)) == expected
+
+    def test_stability(self, capsys):
+        code, out, _ = run(capsys, "stability", "0.5")
+        assert code == 0
+        expected = (
+            ["d1", "d2", "mass_ratio", "omega", "u", "v", "rig_block_closed",
+             "rig_block_oracle", "rig_block_max_error", "internal_closed",
+             "internal_oracle", "internal_rel_error", "membership",
+             "membership.coords", "membership.member_norm",
+             "membership.complement_norm", "threshold_d1",
+             "intrinsic_bound_stable", "oracles_agree", "report"]
+            + [f"report.{n}" for n in _REPORT_KEYS]
+        )
+        assert _key_paths(self._one_line(out)) == expected
+
+    def test_perturb(self, capsys, tmp_path):
+        scenario = TestPerturbCommand._scenario(tmp_path)
+        code, out, _ = run(capsys, "perturb", "--scenario", scenario)
+        assert code == 0
+        doc = self._one_line(out)
+        expected = (
+            ["protocol"]
+            + [f"protocol.{n}" for n in (
+                "family", "d1", "d2", "omega", "separation", "scale", "n_trials",
+                "horizon", "seed", "escape_threshold", "stable_band", "rel_tol",
+                "abs_tol")]
+            + ["n_escaped", "n_bounded", "max_distance_deviation", "stats",
+               "stats.nfev", "trials"]
+        )
+        assert _key_paths(doc) == expected
+        assert list(doc["trials"][0]) == [
+            "trial", "redraws", "escaped", "escape_time", "max_distance_deviation",
+            "max_chart_deviation", "error", "stats",
+        ]
 
 
 class TestThresholdCurveCommand:

@@ -16,6 +16,8 @@ from h2body import (
     XI_E,
     XI_H,
     XI_P,
+    ad_star,
+    bracket,
     build_relative_equilibrium,
     classify_stability,
     internal_block,
@@ -36,6 +38,8 @@ from h2body import (
     v_of_u,
 )
 
+import h2body.stability as stability_mod
+from h2body.cli import main
 from h2body.dynamics import _locked_inertia
 from h2body.stability import _cs_derivative
 
@@ -142,6 +146,49 @@ class TestRigBlock:
             b = rig_block_oracle(re)
             scale = max(1.0, float(np.max(np.abs(a))))
             assert np.allclose(a, b, atol=1e-9 * scale)
+
+    def test_oracle_matches_its_entrywise_definition(self):
+        # the oracle solves for all three right-hand sides at once; this is
+        # the loop it replaced, one solve per entry
+        def entrywise(re):
+            mu = momentum_of(re)
+            ii = locked_inertia(re.config, re.params)
+            xi0 = ii.inverse_apply(mu)
+            lams = rig_basis(re.family)
+            out = np.empty((2, 2))
+            for i, li in enumerate(lams):
+                lhs = ad_star(li, mu)
+                for j, lj in enumerate(lams):
+                    rhs = ii.inverse_apply(ad_star(lj, mu)) + bracket(lj, xi0)
+                    out[i, j] = lhs.pair(rhs)
+            return out
+
+        checked = 0
+        for family, d1, c, d2 in _domain_grid(np.geomspace(1e-3, 18.0, 30), (0.1, 1.0, 10.0)):
+            re = _re_on_grid(family, d1, c, d2)
+            ref = entrywise(re)
+            scale = float(np.max(np.abs(ref)))
+            err = float(np.max(np.abs(rig_block_oracle(re) - ref)))
+            assert err <= 1e-14 * scale, (family, d1, c, err / scale)
+            checked += 1
+        assert checked >= 170
+
+    def test_extreme_mass_ratio_corner(self):
+        # (u1 u2)^2 underflows below m1 ~ 1e-154; the corner entry must stay
+        # the closed form, on both sides of that boundary
+        with mpmath.workdps(50):
+            for m1 in (1e-150, 1e-200, 1e-300):
+                params = Params(m1, 1.0)
+                re = build_relative_equilibrium(
+                    Family.HYPERBOLIC, 0.5, partner_distance(0.5, params), params
+                )
+                u1, u2 = mpmath.tanh(re.d1), mpmath.tanh(re.d2)
+                pre = mpmath.mpf(re.omega) ** 2 * (u1 + u2) * u2 * mpmath.cosh(re.d2) ** 2
+                pre /= 1 - u1 * u2
+                a = rig_block(re)
+                assert a[0, 0] == pytest.approx(float(pre), rel=1e-13)
+                exact = pre / (u1 * u1 * u2 * u2)
+                assert a[1, 1] == pytest.approx(float(exact), rel=1e-13), m1
 
     def test_always_positive_definite(self, rng):
         for _ in range(40):
@@ -259,6 +306,32 @@ class TestInternalBlock:
             assert 0.0 < scale < 1e6
             assert np.array_equal(dii, dii.T)
             assert np.allclose(dii, fd, rtol=0.0, atol=1e-7 * scale)
+
+
+class TestSharedIntermediates:
+    def test_one_stability_call_builds_each_once(self, monkeypatch):
+        calls = {"_correction": 0, "locked_inertia": 0}
+
+        def counting(name):
+            inner = getattr(stability_mod, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(stability_mod, name, counting(name))
+        assert main(["stability", "0.4"]) == 0
+        assert calls == {"_correction": 1, "locked_inertia": 1}
+
+    def test_equal_equilibria_keep_their_own(self):
+        a, b = _elliptic_re(0.4, 1.0), _elliptic_re(0.4, 1.0)
+        internal_block_oracle(a)
+        assert a == b
+        assert set(a.derived) == {"correction", "locked_inertia"}
+        assert b.derived == {}
 
 
 class TestClassifyStability:
@@ -384,6 +457,10 @@ class TestIntrinsicBound:
             assert intrinsic_stability_bound(re.d1, c) == (
                 rep.verdict is Verdict.STABLE
             )
+
+    def test_underflowing_cube(self):
+        # sinh(d1)^3 underflows to 0: the bound is above any finite c
+        assert intrinsic_stability_bound(1e-150, 1e160) is True
 
     def test_rejections(self):
         with pytest.raises(NonPositiveDistance):
