@@ -304,9 +304,12 @@ class LockedInertia:
         e, h, p = self.m @ xi.coords()
         return CoalgebraElement(e, h, p)
 
-    def inverse_apply(self, mu: CoalgebraElement) -> AlgebraElement:
-        E, H, P = np.linalg.solve(self.m, mu.coords())
-        return AlgebraElement(E, H, P)
+    def inverse_apply(self, mu: CoalgebraElement, *more: CoalgebraElement):
+        """II^{-1} mu; given more right-hand sides, the list of II^{-1} of
+        each, from one solve."""
+        sol = np.linalg.solve(self.m, np.array([c.coords() for c in (mu, *more)]).T)
+        out = [AlgebraElement(*col) for col in sol.T.tolist()]
+        return out if more else out[0]
 
     def bilinear(self, xi: AlgebraElement, eta: AlgebraElement) -> float:
         return float(xi.coords() @ self.m @ eta.coords())

@@ -13,7 +13,7 @@ no equilibria.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -284,9 +284,6 @@ class RelativeEquilibrium:
     omega: float
     xi: AlgebraElement
     config: Configuration
-    # intermediates derived from the fields above, kept with the object so
-    # that the checks of one analysis compute each once (see stability)
-    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def distance(self) -> float:

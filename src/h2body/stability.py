@@ -13,7 +13,6 @@ of the augmented potential and the locked inertia, by the complex step.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -116,32 +115,14 @@ def rig_block(re: RelativeEquilibrium) -> np.ndarray:
     m2 = re.params.m2
     if re.family is Family.HYPERBOLIC:
         pre = m2 * w2 * (u1 + u2) * u2 / (s2 * s2 * one_minus)
-        uu = u1 * u1 * u2 * u2
-        if uu >= sys.float_info.min:
-            corner = pre * (1.0 / uu)
-        else:
-            # at extreme mass ratios (u1 u2)^2 underflows; divide by u1 u2
-            # twice instead, the first time cancelling the factor u2 of pre
-            corner = pre / (u1 * u2) / (u1 * u2)
+        # pre / (u1 u2)^2, dividing by u1 u2 twice: at extreme mass ratios
+        # (u1 u2)^2 underflows while pre / (u1 u2) does not
+        corner = pre / (u1 * u2) / (u1 * u2)
         return np.array([[pre, -pre], [-pre, corner]])
     pre = m2 * w2 * (u1 + u2) * u2 / (s2 * s2)
     return pre * np.array(
         [[1.0 / one_minus, 0.0], [0.0, 1.0 + u1 * u2]]
     )
-
-
-def _shared(re: RelativeEquilibrium, name: str, compute):
-    """compute(re), run on the first request at this equilibrium and kept
-    in re.derived: the oracles of one stability call share it."""
-    try:
-        return re.derived[name]
-    except KeyError:
-        value = re.derived[name] = compute(re)
-        return value
-
-
-def _locked_inertia_at(re: RelativeEquilibrium):
-    return locked_inertia(re.config, re.params)
 
 
 def rig_block_oracle(re: RelativeEquilibrium) -> np.ndarray:
@@ -152,12 +133,10 @@ def rig_block_oracle(re: RelativeEquilibrium) -> np.ndarray:
     phase-space momentum map rather than any closed form.
     """
     mu = momentum_of(re)
-    ii = _shared(re, "locked_inertia", _locked_inertia_at)
+    ii = locked_inertia(re.config, re.params)
     lams = rig_basis(re.family)
     lhs = [ad_star(lam, mu) for lam in lams]
-    # one solve for II^{-1} mu, II^{-1} ad*_{lam_1} mu, II^{-1} ad*_{lam_2} mu
-    sol = np.linalg.solve(ii.m, np.array([c.coords() for c in (mu, *lhs)]).T)
-    xi0, *inv_lhs = (AlgebraElement(*col) for col in sol.T.tolist())
+    xi0, *inv_lhs = ii.inverse_apply(mu, *lhs)
     out = np.empty((2, 2))
     for j, lj in enumerate(lams):
         rhs = inv_lhs[j] + bracket(lj, xi0)
@@ -229,16 +208,13 @@ def _cs_derivative(f, q, w, *args):
     return np.imag(z) / _CS_STEP
 
 
-def _correction(re: RelativeEquilibrium) -> tuple[float, AlgebraElement]:
-    """Momentum-constraint correction <(DII w) xi, II^{-1} (DII w) xi> along
-    the internal direction w, and the algebra element II^{-1} (DII w) xi it
-    hinges on."""
-    w = v_int_generator(re.family, re.d1, re.d2)
+def _correction(re: RelativeEquilibrium, w: np.ndarray) -> tuple[float, AlgebraElement]:
+    """Momentum-constraint correction <(DII w) xi, II^{-1} (DII w) xi> and
+    the algebra element II^{-1} (DII w) xi it hinges on."""
     q, p = re.config.coords(), re.params
     dii = _cs_derivative(_locked_inertia, q, w, p.m1, p.m2)
     mvec = dii @ re.xi.coords()
-    ii = _shared(re, "locked_inertia", _locked_inertia_at)
-    eta = ii.inverse_apply(CoalgebraElement(*mvec))
+    eta = locked_inertia(re.config, p).inverse_apply(CoalgebraElement(*mvec))
     return float(mvec @ eta.coords()), eta
 
 
@@ -252,7 +228,7 @@ def internal_block_oracle(re: RelativeEquilibrium) -> float:
     w = v_int_generator(re.family, re.d1, re.d2)
     q = re.config.coords()
     hess_w = _cs_derivative(_augmented_potential_gradient, q, w, re.params, re.xi)
-    corr, _ = _shared(re, "correction", _correction)
+    corr, _ = _correction(re, w)
     return float(w @ hess_w) + corr
 
 
@@ -263,7 +239,8 @@ def internal_membership(re: RelativeEquilibrium) -> dict:
     of its isotropy component and of the complement; the complement should
     vanish, which is what makes the one-direction internal block complete.
     """
-    _, eta = _shared(re, "correction", _correction)
+    w = v_int_generator(re.family, re.d1, re.d2)
+    _, eta = _correction(re, w)
     if re.family is Family.HYPERBOLIC:
         member = abs(eta.H)
         complement = math.hypot(eta.E, eta.P)

@@ -330,6 +330,20 @@ class TestLockedInertia:
         back = ii.inverse_apply(ii.apply(xi))
         assert np.allclose(back.coords(), xi.coords(), rtol=1e-10, atol=1e-12)
 
+    def test_inverse_of_several_is_each_inverse(self, rng):
+        # one solve for several right-hand sides gives each lone solve to
+        # rounding (a blocked solve may round differently)
+        for _ in range(20):
+            s, params = random_config_state(rng)
+            ii = locked_inertia(s.config, params)
+            mus = [ii.apply(random_algebra(rng)) for _ in range(3)]
+            together = ii.inverse_apply(*mus)
+            assert len(together) == 3
+            for mu, xi in zip(mus, together):
+                lone = ii.inverse_apply(mu).coords()
+                err = np.max(np.abs(xi.coords() - lone))
+                assert err <= 1e-14 * np.max(np.abs(lone))
+
     def test_positive_definite(self, rng):
         for _ in range(50):
             s, params = random_config_state(rng)

@@ -38,8 +38,6 @@ from h2body import (
     v_of_u,
 )
 
-import h2body.stability as stability_mod
-from h2body.cli import main
 from h2body.dynamics import _locked_inertia
 from h2body.stability import _cs_derivative
 
@@ -306,32 +304,6 @@ class TestInternalBlock:
             assert 0.0 < scale < 1e6
             assert np.array_equal(dii, dii.T)
             assert np.allclose(dii, fd, rtol=0.0, atol=1e-7 * scale)
-
-
-class TestSharedIntermediates:
-    def test_one_stability_call_builds_each_once(self, monkeypatch):
-        calls = {"_correction": 0, "locked_inertia": 0}
-
-        def counting(name):
-            inner = getattr(stability_mod, name)
-
-            def wrapper(*args):
-                calls[name] += 1
-                return inner(*args)
-
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(stability_mod, name, counting(name))
-        assert main(["stability", "0.4"]) == 0
-        assert calls == {"_correction": 1, "locked_inertia": 1}
-
-    def test_equal_equilibria_keep_their_own(self):
-        a, b = _elliptic_re(0.4, 1.0), _elliptic_re(0.4, 1.0)
-        internal_block_oracle(a)
-        assert a == b
-        assert set(a.derived) == {"correction", "locked_inertia"}
-        assert b.derived == {}
 
 
 class TestClassifyStability:
