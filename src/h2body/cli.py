@@ -141,21 +141,22 @@ def _parse_params(scenario) -> Params:
     )
 
 
-def _parse_integrator(obj, path, t_end=None, overrides=None) -> IntegratorConfig:
-    required = () if t_end is not None else ("t_end",)
-    _check_keys(obj, path, required, ("t_end", "rel_tol", "abs_tol", "max_step", "sample_dt"))
-    kwargs = {}
-    for key in ("t_end", "rel_tol", "abs_tol", "max_step", "sample_dt"):
-        if key in obj:
-            kwargs[key] = _num(obj, path, key, positive=True)
-    if t_end is not None:
-        kwargs["t_end"] = t_end
-    if overrides:
-        kwargs.update(overrides)
+def _parse_integrator(obj, path, overrides) -> IntegratorConfig:
+    keys = ("t_end", "rel_tol", "abs_tol", "max_step", "sample_dt")
+    _check_keys(obj, path, ("t_end",), keys)
+    kwargs = {key: _num(obj, path, key, positive=True) for key in keys if key in obj}
+    kwargs.update(overrides)
     try:
         return IntegratorConfig(**kwargs)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
+
+
+def _tolerance_flags(args) -> dict:
+    """The --rel-tol and --abs-tol values given, which override the scenario's."""
+    return {
+        key: getattr(args, key) for key in ("rel_tol", "abs_tol") if getattr(args, key) is not None
+    }
 
 
 # -- subcommands ---------------------------------------------------------
@@ -172,12 +173,7 @@ def cmd_simulate(args) -> int:
         state = phase_state(*coords)
     except (ValueError, H2BodyError) as exc:
         raise ScenarioError(f"invalid initial state: {exc}") from exc
-    overrides = {}
-    if args.rel_tol is not None:
-        overrides["rel_tol"] = args.rel_tol
-    if args.abs_tol is not None:
-        overrides["abs_tol"] = args.abs_tol
-    config = _parse_integrator(scenario["integrator"], "integrator", overrides=overrides)
+    config = _parse_integrator(scenario["integrator"], "integrator", _tolerance_flags(args))
 
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "trajectory.csv")
@@ -367,10 +363,7 @@ def cmd_perturb(args) -> int:
         for key in ("rel_tol", "abs_tol"):
             if key in scenario["integrator"]:
                 kwargs[key] = _num(scenario["integrator"], "integrator", key, positive=True)
-    if args.rel_tol is not None:
-        kwargs["rel_tol"] = args.rel_tol
-    if args.abs_tol is not None:
-        kwargs["abs_tol"] = args.abs_tol
+    kwargs.update(_tolerance_flags(args))
     for key in ("escape_threshold", "stable_band"):
         if key in proto:
             kwargs[key] = _num(proto, "protocol", key, positive=True)

@@ -203,12 +203,8 @@ def _omega2_canonical(d1: float, d2: float, params: Params) -> float:
     s = sech(d) of each body; shared by the dilation and rotation families."""
     u1, s1 = _tanh_sech(d1)
     u2, s2 = _tanh_sech(d2)
-    return (
-        params.k
-        * params.m1
-        * s1 * s1 * s2 * s2 / (u1 + u2) ** 2
-        * (s2 * s2 / u2)
-    )
+    # the mass last: at tiny m1 an earlier product of it would be subnormal
+    return params.k * (s1 * s1 * s2 * s2 / (u1 + u2) ** 2 * (s2 * s2 / u2)) * params.m1
 
 
 def admissible_generators(d1: float, d2: float, params: Params) -> GeneratorCases:

@@ -1,16 +1,18 @@
 """Time integration, conservation accounting, and perturbation experiments.
 
 Integration runs on an in-house Runge-Kutta engine, solve_ivp, that needs
-nothing but numpy. Its pair is Dormand-Prince 8(5,3), "DOP853" (Hairer,
-Norsett & Wanner, Solving ODEs I, sec. II.10), following scipy's DOP853
-in tableau, error norm, step controller, starting step, seventh-order
-dense output and event location; a run sampled on a time grid uses
-Dormand-Prince 5(4) (Dormand & Prince, J. Comput. Appl. Math. 6, 1980)
-as scipy's RK45 does, whose free quartic interpolant keeps the samples'
-conservation in step with the tolerance. A state of shape (8,) is one
-trajectory; a state of shape (8, N) is a batch that keeps a time, a step
-size and a status per column and evaluates the field once per stage for
-all columns still running, which is how the perturbation trials run.
+nothing but numpy, with one loop per Dormand-Prince pair. A run without a
+sample grid takes Dormand-Prince 8(5,3), "DOP853" (Hairer, Norsett &
+Wanner, Solving ODEs I, sec. II.10), following scipy's DOP853 in tableau,
+error norm, step controller, starting step, seventh-order dense output
+and event location. Its loop runs a batch, states of shape (8, N) that
+keep a time, a step size and a status per column and evaluate the field
+once per stage for all columns still running, which is how the
+perturbation trials run; a lone state of shape (8,) runs as a batch of
+one, so the field sees it as (8, 1). A run sampled on a time grid is one
+trajectory on Dormand-Prince 5(4) (Dormand & Prince, J. Comput. Appl.
+Math. 6, 1980) as scipy's RK45 runs it, whose free quartic interpolant
+keeps the samples' conservation in step with the tolerance.
 Trajectories are sampled on a uniform grid and carried around as plain
 arrays together with their conserved quantities and the engine's counters.
 Random draws come from a small counter-free shift-register generator so
@@ -125,6 +127,11 @@ class IntegratorConfig:
         for name in ("max_step", "sample_dt"):
             if getattr(self, name) is not None:
                 _require_positive(name, getattr(self, name))
+        if self.sample_dt is not None and not math.isfinite(self.t_end / self.sample_dt):
+            raise ValueError(
+                f"t_end / sample_dt must be a finite number of samples, got "
+                f"{self.t_end!r} / {self.sample_dt!r}"
+            )
 
     def sample_times(self) -> np.ndarray:
         dt = self.sample_dt if self.sample_dt is not None else self.t_end / 256.0
@@ -196,17 +203,13 @@ class _Pair:
     first same as last, stage ``n_stages``, which is fun at the new point;
     row ``n_stages`` of ``a`` holds the weights of the solution, and rows
     past it serve the dense output only. ``exponent`` is -1 / (order of the
-    error estimate + 1). ``error_norm(y, y_new, ks, h, rtol, atol)`` gives
-    the step's error in units of the tolerance, and ``dense(fun, t_old, h,
-    y_old, y, ks)`` the step's interpolant with the calls of fun it took.
+    error estimate + 1).
     """
 
     a: np.ndarray
     c: np.ndarray
     n_stages: int
     exponent: float
-    error_norm: object
-    dense: object
 
     def __post_init__(self):
         # what each stage reads, ready for the hot loop: its weights as a
@@ -265,7 +268,7 @@ def _dp54_error_norm(y, y_new, ks, h, rtol, atol):
 _ONES = np.ones(4)
 
 
-def _quartic(fun, t_old, h, y_old, y, ks):
+def _quartic(t_old, h, y_old, ks):
     """Quartic interpolant of one trajectory over [t_old, t_old + h], at a
     time or a 1-D array of times: y_old + h q (x, x^2, x^3, x^4) with
     x = (t - t_old) / h and q = ks^T P; it takes no call of fun."""
@@ -276,7 +279,7 @@ def _quartic(fun, t_old, h, y_old, y, ks):
         dy = h * np.dot(q, np.multiply.accumulate(np.multiply.outer(_ONES, x)))
         return dy + (y_old if dy.ndim == 1 else y_old[:, None])
 
-    return sol, 0
+    return sol
 
 
 _DP54 = _Pair(
@@ -292,8 +295,6 @@ _DP54 = _Pair(
     c=np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1, 1]),
     n_stages=6,
     exponent=-1 / 5,
-    error_norm=_dp54_error_norm,
-    dense=_quartic,
 )
 
 # Dormand-Prince 8(5,3), "DOP853" (Hairer, Norsett & Wanner, Solving ODEs I,
@@ -437,18 +438,11 @@ def _interpolant(t_old, h, y_old, y, ks):
     return sol
 
 
-def _dop853_dense(fun, t_old, h, y_old, y, ks):
-    _fill(_DOP853, fun, t_old, y_old, h, ks, _EXTRA)
-    return _interpolant(t_old, h, y_old, y, ks), len(_EXTRA)
-
-
 _DOP853 = _Pair(
     a=_DOP853_A,
     c=_DOP853_C,
     n_stages=12,
     exponent=-1 / 8,
-    error_norm=_dop853_error_norm,
-    dense=_dop853_dense,
 )
 
 
@@ -588,10 +582,12 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, max_step=np.inf, t_eval=None, even
     y0 of shape (n,) is one trajectory; (n, N) is a batch of N that keeps
     a time, a step size and a status per column, calls fun once per stage
     on the columns still running, and retires each column at the end of
-    the span, at a terminal event or on step underflow. A column of a
-    batch goes through the same operations as that trajectory run alone,
-    so it does not depend on the other columns; for the equations of
-    motion the two agree bit for bit, and the tests hold them to 1e-12.
+    the span, at a terminal event or on step underflow. Without ``t_eval``
+    one trajectory runs as a batch of one: fun and the events receive
+    (n, 1) states and (1,) times, and the result is the batch's row 0. A
+    column of a batch goes through the same operations as that trajectory
+    run alone, so it does not depend on the other columns; the tests hold
+    the two equal bit for bit.
 
     The step control, starting step, dense output and event location
     follow scipy's DOP853, or its RK45 for DP5(4), with these options. A
@@ -618,25 +614,28 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, max_step=np.inf, t_eval=None, even
         raise ValueError("y0 must be finite")
     _require_tolerances(rtol, atol)
     events = (events,) if callable(events) else tuple(events)
-    if y0.ndim == 1:
-        if t_eval is None:
-            return _solve_one(_DOP853, fun, t0, t_bound, y0, rtol, atol, max_step, None, events)
-        t_eval = np.asarray(t_eval, dtype=float)
-        return _solve_one(_DP54, fun, t0, t_bound, y0, rtol, atol, max_step, t_eval, events)
     if t_eval is not None:
-        raise ValueError("t_eval applies to a single trajectory")
+        if y0.ndim != 1:
+            raise ValueError("t_eval applies to a single trajectory")
+        t_eval = np.asarray(t_eval, dtype=float)
+        return _solve_sampled(fun, t0, t_bound, y0, rtol, atol, max_step, t_eval, events)
+    if y0.ndim == 1:
+        one = _solve_batch(fun, t0, t_bound, y0[:, None], rtol, atol, max_step, events)
+        return OdeResult(**{key: value[0] for key, value in vars(one).items() if key != "nfev"},
+                         nfev=one.nfev)
     return _solve_batch(fun, t0, t_bound, y0, rtol, atol, max_step, events)
 
 
-def _solve_one(pair, fun, t, t_bound, y, rtol, atol, max_step, t_eval, events):
-    n = y.size
+def _solve_sampled(fun, t, t_bound, y, rtol, atol, max_step, t_eval, events):
+    """DP5(4) on one trajectory, sampled at t_eval through its quartic
+    interpolant."""
     f = fun(t, y)
-    h_abs = float(_initial_step(pair, fun, t, y, f, t_bound - t, max_step, rtol, atol))
+    h_abs = float(_initial_step(_DP54, fun, t, y, f, t_bound - t, max_step, rtol, atol))
     nfev, accepted, rejected, dense = 2, 0, 0, 0
     h_min, h_max = math.inf, 0.0
     g = [ev(t, y) for ev in events]
     t_events, y_events = [[] for _ in events], [[] for _ in events]
-    ts, ys = ([t], [y]) if t_eval is None else ([], [])
+    ts, ys = [], []
     i_eval = 0
     status = None
     while status is None:
@@ -649,16 +648,15 @@ def _solve_one(pair, fun, t, t_bound, y, rtol, atol, max_step, t_eval, events):
         while h_abs >= min_step:
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
-            y_new, ks = _rk_step(pair, fun, t, y, f, h)
-            nfev += pair.n_stages
-            err = pair.error_norm(y, y_new, ks, h, rtol, atol)
+            y_new, ks = _rk_step(_DP54, fun, t, y, f, h)
+            nfev += _DP54.n_stages
+            err = _dp54_error_norm(y, y_new, ks, h, rtol, atol)
             if err < 1:
-                # np.power, not ** on a numpy float, rounds like numpy's
-                # vectorized power in the batch
-                factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * np.power(err, pair.exponent))
+                # np.power: ** on a Python float rounds differently and would move the steps
+                factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * np.power(err, _DP54.exponent))
                 h_abs = h * (min(1.0, factor) if step_rejected else factor)
                 break
-            h_abs = h * max(_MIN_FACTOR, _SAFETY * np.power(err, pair.exponent))
+            h_abs = h * max(_MIN_FACTOR, _SAFETY * np.power(err, _DP54.exponent))
             step_rejected = True
             rejected += 1
         else:
@@ -667,16 +665,16 @@ def _solve_one(pair, fun, t, t_bound, y, rtol, atol, max_step, t_eval, events):
         accepted += 1
         h_min, h_max = min(h_min, h), max(h_max, h)
         t_old, y_old = t, y
-        t, y, f = t_new, y_new, ks[pair.n_stages]
+        t, y, f = t_new, y_new, ks[_DP54.n_stages]
         if t >= t_bound:
             status = 0
         sol = None
-        t_out, y_out = t, y
+        t_out = t
         if events:
             g_new = [ev(t, y) for ev in events]
             if any(_crossed(a, b, getattr(ev, "direction", 0)) for a, b, ev in zip(g, g_new, events)):
-                sol, calls = pair.dense(fun, t_old, h, y_old, y, ks)
-                nfev, dense = nfev + calls, dense + 1
+                sol = _quartic(t_old, h, y_old, ks)
+                dense += 1
                 hits, stop = _fire(events, g, g_new, sol, t_old, t)
                 for root, e in hits:
                     t_events[e].append(root)
@@ -684,28 +682,19 @@ def _solve_one(pair, fun, t, t_bound, y, rtol, atol, max_step, t_eval, events):
                 if stop:
                     status = 1
                     t_out = hits[-1][0]
-                    y_out = sol(t_out)
             g = g_new
-        if t_eval is None:
-            ts.append(t_out)
-            ys.append(y_out)
-        elif i_eval < t_eval.size and t_eval[i_eval] <= t_out:
+        if i_eval < t_eval.size and t_eval[i_eval] <= t_out:
             # the step reached the next sample: take every one it reached
             j = int(np.searchsorted(t_eval, t_out, side="right"))
             if sol is None:
-                sol, calls = pair.dense(fun, t_old, h, y_old, y, ks)
-                nfev, dense = nfev + calls, dense + 1
+                sol = _quartic(t_old, h, y_old, ks)
+                dense += 1
             ts.append(t_eval[i_eval:j])
             ys.append(sol(t_eval[i_eval:j]))
             i_eval = j
-    if t_eval is None:
-        t_out, y_out = np.array(ts), np.array(ys).T
-    else:
-        t_out = np.concatenate(ts) if ts else np.empty(0)
-        y_out = np.hstack(ys) if ys else np.empty((n, 0))
     return OdeResult(
-        t=t_out,
-        y=y_out,
+        t=np.concatenate(ts) if ts else np.empty(0),
+        y=np.hstack(ys) if ys else np.empty((y.size, 0)),
         t_events=[np.array(te) for te in t_events],
         y_events=[np.array(ye) for ye in y_events],
         status=status,

@@ -124,6 +124,22 @@ class TestEquilibriumCommand:
         assert report["rig_definite"] is True
         assert report["verdict"] == "unstable"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("equilibrium", "hyperbolic", "19", "--m1", "1e-300"),
+            ("equilibrium", "hyperbolic", "19", "--m1", "1e-310"),
+            ("stability", "19", "--m1", "1e-300"),
+        ],
+    )
+    def test_tiny_mass_far_apart_passes_the_rate_cross_check(self, capsys, argv):
+        # the canonical rate multiplies by m1 last, so no partial product
+        # of it is subnormal
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["d1"] == 19.0 and doc["omega"] > 0.0
+
     def test_hyperbolic_has_no_period(self, capsys):
         code, out, _ = run(capsys, "equilibrium", "hyperbolic", "0.7", "--m2", "1.5")
         assert code == 0
@@ -622,6 +638,8 @@ def _non_finite_case(tmp_path, case):
         doc["integrator"]["t_end"] = 10 ** 400
     elif case == "simulate-rel_tol-below-floor":
         doc["integrator"]["rel_tol"] = 2e-14
+    elif case == "simulate-sample-count-overflow":
+        doc["integrator"].update(t_end=1e300, sample_dt=1e-300)
     else:
         flags = ["--rel-tol", "inf"]
     return "simulate", write_json(tmp_path / "s.json", doc), flags
@@ -635,6 +653,7 @@ def _non_finite_case(tmp_path, case):
         "simulate-state-nan",
         "simulate-t_end-huge-int",
         "simulate-rel_tol-below-floor",
+        "simulate-sample-count-overflow",
         "simulate-rel-tol-flag-inf",
         "perturb-horizon-inf",
         "perturb-rel_tol-below-floor",

@@ -489,10 +489,13 @@ class TestEngine:
                                     atol=1e-12, events=events)
             assert batch.status[i] == one.status == (1 if u > 0.5 else 0)
             assert (batch.accepted[i], batch.rejected[i]) == (one.accepted, one.rejected)
-            np.testing.assert_allclose(batch.t[i], one.t, rtol=1e-12, atol=0.0)
-            np.testing.assert_allclose(batch.y[i], one.y, rtol=1e-12, atol=0.0)
+            assert (batch.dense[i], batch.h_min[i], batch.h_max[i]) == (
+                one.dense, one.h_min, one.h_max)
+            np.testing.assert_array_equal(batch.t[i], one.t)
+            np.testing.assert_array_equal(batch.y[i], one.y)
+            assert len(batch.t_events[i]) == len(one.t_events)
             for mine, lone in zip(batch.t_events[i], one.t_events):
-                np.testing.assert_allclose(mine, lone, rtol=1e-12, atol=0.0)
+                np.testing.assert_array_equal(mine, lone)
 
     def test_trials_do_not_depend_on_n_trials(self):
         re = _equal_mass_elliptic(u=0.8)
