@@ -336,10 +336,10 @@ def build_relative_equilibrium(
     grad = augmented_potential_gradient(config, params, xi)
     # the gradient's terms scale like the force k m1 m2 / sinh(d)^2
     force = params.k * params.m1 * params.m2 / math.sinh(d) ** 2
-    if float(np.linalg.norm(grad)) > 1e-8 * max(1.0, force):
-        raise OracleMismatch(
-            f"augmented potential is not critical (|grad| = {np.linalg.norm(grad):.3e})"
-        )
+    # hypot scales before it squares, so large components do not overflow
+    grad_norm = math.hypot(*grad)
+    if grad_norm > 1e-8 * max(1.0, force):
+        raise OracleMismatch(f"augmented potential is not critical (|grad| = {grad_norm:.3e})")
 
     return RelativeEquilibrium(
         family=family,

@@ -12,7 +12,9 @@ perturbation trials run; a lone state of shape (8,) runs as a batch of
 one, so the field sees it as (8, 1). A run sampled on a time grid is one
 trajectory on Dormand-Prince 5(4) (Dormand & Prince, J. Comput. Appl.
 Math. 6, 1980) as scipy's RK45 runs it, whose free quartic interpolant
-keeps the samples' conservation in step with the tolerance.
+keeps the samples' conservation in step with the tolerance. Both loops
+let the step controller alone size each step, with no cap, and stop a
+trajectory at the first root of any event: every event is terminal.
 Trajectories are sampled on a uniform grid and carried around as plain
 arrays together with their conserved quantities and the engine's counters.
 Random draws come from a small counter-free shift-register generator so
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Collision, CollisionDuringIntegration, StepSizeUnderflow
+from .errors import CollisionDuringIntegration, StepSizeUnderflow
 from .dynamics import (
     COLLISION_EPSILON,
     Params,
@@ -118,20 +120,18 @@ class IntegratorConfig:
     t_end: float
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float | None = None
     sample_dt: float | None = None
 
     def __post_init__(self):
         _require_positive("t_end", self.t_end)
         _require_tolerances(self.rel_tol, self.abs_tol)
-        for name in ("max_step", "sample_dt"):
-            if getattr(self, name) is not None:
-                _require_positive(name, getattr(self, name))
-        if self.sample_dt is not None and not math.isfinite(self.t_end / self.sample_dt):
-            raise ValueError(
-                f"t_end / sample_dt must be a finite number of samples, got "
-                f"{self.t_end!r} / {self.sample_dt!r}"
-            )
+        if self.sample_dt is not None:
+            _require_positive("sample_dt", self.sample_dt)
+            if not math.isfinite(self.t_end / self.sample_dt):
+                raise ValueError(
+                    f"t_end / sample_dt must be a finite number of samples, got "
+                    f"{self.t_end!r} / {self.sample_dt!r}"
+                )
 
     def sample_times(self) -> np.ndarray:
         dt = self.sample_dt if self.sample_dt is not None else self.t_end / 256.0
@@ -451,14 +451,14 @@ class OdeResult:
     """What solve_ivp returns.
 
     For one trajectory ``t`` has shape (m,), ``y`` shape (n, m), and
-    ``t_events[e]`` / ``y_events[e]`` hold the roots of event e and the
-    states there. ``status`` is 0 at the end of the span, 1 after a
-    terminal event and -1 on step underflow. ``accepted`` and ``rejected``
-    count steps, ``dense`` the interpolants built, and ``h_min`` and
-    ``h_max`` bound the accepted steps (None if there is none). For a
-    batch every field but ``nfev`` is a list with one such entry per row.
-    ``nfev`` counts the calls of ``fun``, each of which evaluates every
-    row it is given.
+    ``t_events[e]`` / ``y_events[e]`` hold the root of event e and the
+    state there if it stopped the run, else nothing. ``status`` is 0 at
+    the end of the span, 1 after an event and -1 on step underflow.
+    ``accepted`` and ``rejected`` count steps, ``dense`` the interpolants
+    built, and ``h_min`` and ``h_max`` bound the accepted steps (None if
+    there is none). For a batch every field but ``nfev`` is a list with
+    one such entry per row. ``nfev`` counts the calls of ``fun``, each of
+    which evaluates every row it is given.
     """
 
     t: object
@@ -496,7 +496,7 @@ def _rk_step(pair, fun, t, y, f, h):
     return _fill(pair, fun, t, y, h, ks, range(1, pair.n_stages + 1)), ks
 
 
-def _initial_step(pair, fun, t0, y0, f0, interval, max_step, rtol, atol):
+def _initial_step(pair, fun, t0, y0, f0, interval, rtol, atol):
     """Starting step per column (Hairer, Norsett & Wanner, Solving ODEs I,
     sec. II.4); one call of fun."""
     scale = atol + np.abs(y0) * rtol
@@ -509,7 +509,7 @@ def _initial_step(pair, fun, t0, y0, f0, interval, max_step, rtol, atol):
             np.maximum(1e-6, h0 * 1e-3),
             np.power(0.01 / np.maximum(d1, d2), -pair.exponent),
         )
-    return np.minimum(np.minimum(100 * h0, h1), min(interval, max_step))
+    return np.minimum(np.minimum(100 * h0, h1), interval)
 
 
 def _crossed(g, g_new, direction):
@@ -562,27 +562,23 @@ def _brentq(f, xa, xb):
 
 
 def _fire(events, g, g_new, sol, t_old, t):
-    """Roots in [t_old, t] of the events that crossed zero, as (root, event)
-    in time order up to the first terminal one, and whether one was hit."""
-    hits = sorted(
+    """The earliest root in [t_old, t] of the events that crossed zero, as
+    (root, event); on a tie, the event listed first."""
+    return min(
         (_brentq(lambda s, ev=ev: ev(s, sol(s)), t_old, t), e)
         for e, ev in enumerate(events)
         if _crossed(g[e], g_new[e], getattr(ev, "direction", 0))
     )
-    for i, (_, e) in enumerate(hits):
-        if getattr(events[e], "terminal", False):
-            return hits[: i + 1], True
-    return hits, False
 
 
-def solve_ivp(fun, t_span, y0, *, rtol, atol, max_step=np.inf, t_eval=None, events=()):
+def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, events=()):
     """Integrate y' = fun(t, y) forward over t_span with an adaptive
     Dormand-Prince pair: DOP853, or DP5(4) where ``t_eval`` asks for samples.
 
     y0 of shape (n,) is one trajectory; (n, N) is a batch of N that keeps
     a time, a step size and a status per column, calls fun once per stage
     on the columns still running, and retires each column at the end of
-    the span, at a terminal event or on step underflow. Without ``t_eval``
+    the span, at an event or on step underflow. Without ``t_eval``
     one trajectory runs as a batch of one: fun and the events receive
     (n, 1) states and (1,) times, and the result is the batch's row 0. A
     column of a batch goes through the same operations as that trajectory
@@ -590,13 +586,14 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, max_step=np.inf, t_eval=None, even
     the two equal bit for bit.
 
     The step control, starting step, dense output and event location
-    follow scipy's DOP853, or its RK45 for DP5(4), with these options. A
-    DOP853 step costs 12 calls of fun, and its seventh-order dense output
-    3 more, built only for a step in which an event crosses zero (in a
-    batch, in one pass for the rows that do). An event is a function
-    ``event(t, y)`` with optional ``terminal`` (stop at its first root)
-    and ``direction`` attributes; in a batch it receives (N,) times and
-    (n, N) states.
+    follow scipy's DOP853, or its RK45 for DP5(4), with no cap on the step
+    size. A DOP853 step costs 12 calls of fun, and its seventh-order dense
+    output 3 more, built only for a step in which an event crosses zero (in
+    a batch, in one pass for the rows that do). An event is a function
+    ``event(t, y)`` with an optional ``direction`` attribute; in a batch it
+    receives (N,) times and (n, N) states. Every event is terminal: a
+    trajectory stops at the first root of any of them, which is its only
+    entry in ``t_events`` and ``y_events``.
 
     Without ``t_eval`` every accepted step is returned. ``t_eval`` (one
     trajectory only) samples the dense output of DP5(4) instead: 6 calls
@@ -618,19 +615,19 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, max_step=np.inf, t_eval=None, even
         if y0.ndim != 1:
             raise ValueError("t_eval applies to a single trajectory")
         t_eval = np.asarray(t_eval, dtype=float)
-        return _solve_sampled(fun, t0, t_bound, y0, rtol, atol, max_step, t_eval, events)
+        return _solve_sampled(fun, t0, t_bound, y0, rtol, atol, t_eval, events)
     if y0.ndim == 1:
-        one = _solve_batch(fun, t0, t_bound, y0[:, None], rtol, atol, max_step, events)
+        one = _solve_batch(fun, t0, t_bound, y0[:, None], rtol, atol, events)
         return OdeResult(**{key: value[0] for key, value in vars(one).items() if key != "nfev"},
                          nfev=one.nfev)
-    return _solve_batch(fun, t0, t_bound, y0, rtol, atol, max_step, events)
+    return _solve_batch(fun, t0, t_bound, y0, rtol, atol, events)
 
 
-def _solve_sampled(fun, t, t_bound, y, rtol, atol, max_step, t_eval, events):
+def _solve_sampled(fun, t, t_bound, y, rtol, atol, t_eval, events):
     """DP5(4) on one trajectory, sampled at t_eval through its quartic
     interpolant."""
     f = fun(t, y)
-    h_abs = float(_initial_step(_DP54, fun, t, y, f, t_bound - t, max_step, rtol, atol))
+    h_abs = float(_initial_step(_DP54, fun, t, y, f, t_bound - t, rtol, atol))
     nfev, accepted, rejected, dense = 2, 0, 0, 0
     h_min, h_max = math.inf, 0.0
     g = [ev(t, y) for ev in events]
@@ -640,9 +637,7 @@ def _solve_sampled(fun, t, t_bound, y, rtol, atol, max_step, t_eval, events):
     status = None
     while status is None:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
-        if h_abs > max_step:
-            h_abs = max_step
-        elif h_abs < min_step:
+        if h_abs < min_step:
             h_abs = min_step
         step_rejected = False
         while h_abs >= min_step:
@@ -675,13 +670,10 @@ def _solve_sampled(fun, t, t_bound, y, rtol, atol, max_step, t_eval, events):
             if any(_crossed(a, b, getattr(ev, "direction", 0)) for a, b, ev in zip(g, g_new, events)):
                 sol = _quartic(t_old, h, y_old, ks)
                 dense += 1
-                hits, stop = _fire(events, g, g_new, sol, t_old, t)
-                for root, e in hits:
-                    t_events[e].append(root)
-                    y_events[e].append(sol(root))
-                if stop:
-                    status = 1
-                    t_out = hits[-1][0]
+                t_out, e = _fire(events, g, g_new, sol, t_old, t)
+                t_events[e].append(t_out)
+                y_events[e].append(sol(t_out))
+                status = 1
             g = g_new
         if i_eval < t_eval.size and t_eval[i_eval] <= t_out:
             # the step reached the next sample: take every one it reached
@@ -716,12 +708,12 @@ def _message(status, t):
     return f"step size underflow at t = {float(t)!r}: the step is below the spacing of floats"
 
 
-def _solve_batch(fun, t0, t_bound, y, rtol, atol, max_step, events):
+def _solve_batch(fun, t0, t_bound, y, rtol, atol, events):
     n, size = y.shape
     rows = np.arange(size)  # batch row of each working column
     t = np.full(size, t0)
     f = fun(t, y)
-    h_abs = _initial_step(_DOP853, fun, t, y, f, t_bound - t0, max_step, rtol, atol)
+    h_abs = _initial_step(_DOP853, fun, t, y, f, t_bound - t0, rtol, atol)
     nfev = 2
     fresh = np.ones(size, dtype=bool)  # the next attempt starts a new step
     accepted, rejected, dense = (np.zeros(size, dtype=int) for _ in range(3))
@@ -734,9 +726,7 @@ def _solve_batch(fun, t0, t_bound, y, rtol, atol, max_step, events):
     with np.errstate(divide="ignore"):  # a zero error norm grows the step tenfold
         while rows.size:
             min_step = 10 * (np.nextafter(t, np.inf) - t)
-            h_abs = np.where(
-                fresh, np.where(h_abs > max_step, max_step, np.maximum(h_abs, min_step)), h_abs
-            )
+            h_abs = np.where(fresh, np.maximum(h_abs, min_step), h_abs)
             failed = h_abs < min_step
             if failed.any():
                 for j in np.flatnonzero(failed):
@@ -782,17 +772,15 @@ def _solve_batch(fun, t0, t_bound, y, rtol, atol, max_step, events):
                     sol = _interpolant(
                         t_old[j], h[j], y_old[:, j], y_new[:, j], np.ascontiguousarray(stages[..., c])
                     )
-                    hits, stop = _fire(
+                    root, e = _fire(
                         events, [a[j] for a in g], [b[j] for b in g_new], sol, t_old[j], t_new[j]
                     )
-                    for root, e in hits:
-                        t_events[rows[j]][e].append(root)
-                        y_events[rows[j]][e].append(sol(root))
-                    if stop:
-                        status[rows[j]] = 1
-                        done[j] = True
-                        t_new[j] = hits[-1][0]
-                        y_new[:, j] = sol(t_new[j])
+                    y_root = sol(root)
+                    t_events[rows[j]][e].append(root)
+                    y_events[rows[j]][e].append(y_root)
+                    t_new[j], y_new[:, j] = root, y_root
+                    status[rows[j]] = 1
+                done |= hit
                 g = [np.where(ok, b, a) for a, b in zip(g, g_new)]
             log.append((rows[ok], t_new[ok], y_new[:, ok]))
             if done.any():
@@ -835,6 +823,8 @@ def _collision_event(t, z):
     return separation(z[0], z[1], z[2], z[3]) - COLLISION_EPSILON
 
 
+# this engine stops at every event; scipy's solve_ivp, which the tests run
+# the same event through, stops only where terminal is set
 _collision_event.terminal = True
 _collision_event.direction = -1
 
@@ -863,7 +853,6 @@ def integrate(
         state.as_array(),
         rtol=config.rel_tol,
         atol=config.abs_tol,
-        max_step=config.max_step if config.max_step is not None else np.inf,
         t_eval=config.sample_times(),
         events=_collision_event,
     )
@@ -871,7 +860,7 @@ def integrate(
     states = sol.y.T
     stats = {key: getattr(sol, key) for key in _STATS}
     if sol.status == 1:
-        # append the terminal event sample so the partial record ends at impact
+        # append the event sample so the partial record ends at impact
         ts = np.append(ts, sol.t_events[0][0])
         states = np.vstack([states, sol.y_events[0][0]])
         rec = record_from_states(ts, states, params, False, "collision", stats)
@@ -943,6 +932,12 @@ def read_trajectory_csv(path) -> TrajectoryRecord:
 
 # -- perturbation experiments --------------------------------------------
 
+# a trial escapes once |d(t) - d(0)| exceeds ESCAPE_THRESHOLD, and counts as
+# bounded if it ran to the horizon with |d(t) - d(0)| below STABLE_BAND
+ESCAPE_THRESHOLD = 0.5
+STABLE_BAND = 1e-2
+
+
 @dataclass(frozen=True)
 class PerturbationExperiment:
     """Protocol for kicking an equilibrium and watching the separation.
@@ -950,7 +945,7 @@ class PerturbationExperiment:
     Each trial adds a Gaussian direction of exact chart norm ``scale`` to
     the equilibrium state, then follows the motion for ``horizon`` time
     units. A trial ends early once |d(t) - d(0)| exceeds
-    ``escape_threshold``; draws that start inside the collision cutoff or
+    ``ESCAPE_THRESHOLD``; draws that start inside the collision cutoff or
     below the chart are redrawn.
     """
 
@@ -959,13 +954,11 @@ class PerturbationExperiment:
     n_trials: int
     horizon: float
     seed: int
-    escape_threshold: float = 0.5
-    stable_band: float = 1e-2
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
 
     def __post_init__(self):
-        for name in ("scale", "horizon", "escape_threshold", "stable_band"):
+        for name in ("scale", "horizon"):
             _require_positive(name, getattr(self, name))
         if self.n_trials < 1:
             raise ValueError("n_trials must be at least 1")
@@ -982,12 +975,7 @@ def _draw_perturbed(rng: Xoshiro256StarStar, z0: np.ndarray, scale: float):
             redraws += 1
             continue
         z = z0 + delta * (scale / norm)
-        if z[1] > 0.0 and z[3] > 0.0:
-            try:
-                PhaseState.from_array(z)
-            except Collision:
-                redraws += 1
-                continue
+        if z[1] > 0.0 and z[3] > 0.0 and separation(*z[:4]) > COLLISION_EPSILON:
             return z, redraws
         redraws += 1
 
@@ -1025,9 +1013,8 @@ def perturb_and_measure(experiment: PerturbationExperiment) -> dict:
 
     def escape(t, z):
         d = separation(z[0], z[1], z[2], z[3])
-        return abs(d - r0) - experiment.escape_threshold
+        return abs(d - r0) - ESCAPE_THRESHOLD
 
-    escape.terminal = True
     starts = [_draw_perturbed(rng, z0, experiment.scale) for _ in range(experiment.n_trials)]
     sol = solve_ivp(
         rhs,
@@ -1060,7 +1047,7 @@ def perturb_and_measure(experiment: PerturbationExperiment) -> dict:
         for t in trials
         if not t["escaped"]
         and t["error"] is None
-        and t["max_distance_deviation"] < experiment.stable_band
+        and t["max_distance_deviation"] < STABLE_BAND
     )
     return {
         "protocol": {
@@ -1073,8 +1060,8 @@ def perturb_and_measure(experiment: PerturbationExperiment) -> dict:
             "n_trials": experiment.n_trials,
             "horizon": experiment.horizon,
             "seed": experiment.seed,
-            "escape_threshold": experiment.escape_threshold,
-            "stable_band": experiment.stable_band,
+            "escape_threshold": ESCAPE_THRESHOLD,
+            "stable_band": STABLE_BAND,
             "rel_tol": experiment.rel_tol,
             "abs_tol": experiment.abs_tol,
         },

@@ -140,6 +140,29 @@ class TestEquilibriumCommand:
         doc = json.loads(out)
         assert doc["d1"] == 19.0 and doc["omega"] > 0.0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("equilibrium", family, d1, "--k", k)
+            for family in ("elliptic", "hyperbolic")
+            for k in ("1e200", "1e300")
+            for d1 in ("0.01", "0.5", "3")
+            # the rigid block's hyperbolic corner is beyond binary64 there
+            if (family, k, d1) != ("hyperbolic", "1e300", "0.01")
+        ]
+        + [
+            ("stability", "0.5", "--k", "1e300"),
+            ("equilibrium", "elliptic", "0.5", "--m1", "1e150", "--m2", "1e150"),
+        ],
+        ids="_".join,
+    )
+    def test_huge_force_passes_the_criticality_check(self, capsys, argv):
+        # gradient components past about 1e154 would overflow a norm that
+        # squares them
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert json.loads(out)["omega"] > 0.0
+
     def test_hyperbolic_has_no_period(self, capsys):
         code, out, _ = run(capsys, "equilibrium", "hyperbolic", "0.7", "--m2", "1.5")
         assert code == 0
@@ -440,11 +463,28 @@ class TestSimulateCommand:
         loose = json.loads((loose_dir / "conservation.json").read_text())
         assert loose["drift"]["energy"] > 10.0 * tight["drift"]["energy"]
 
-    def test_unknown_field_exits_2(self, capsys, tmp_path):
-        scenario, _ = simulate_scenario(tmp_path, extra_field=1)
-        code, _, err = run(capsys, "simulate", "--scenario", scenario)
+    @pytest.mark.parametrize(
+        "command, section, key",
+        [
+            ("simulate", None, "extra_field"),
+            # the integrator has no step cap
+            ("simulate", "integrator", "max_step"),
+            ("perturb", None, "extra_field"),
+            # the escape threshold and the stable band are fixed
+            ("perturb", "protocol", "escape_threshold"),
+            ("perturb", "protocol", "stable_band"),
+        ],
+    )
+    def test_unknown_field_exits_2(self, capsys, tmp_path, command, section, key):
+        if command == "simulate":
+            scenario, _ = simulate_scenario(tmp_path)
+        else:
+            scenario = TestPerturbCommand._scenario(tmp_path)
+        doc = json.loads(Path(scenario).read_text())
+        (doc[section] if section else doc)[key] = 0.1
+        code, _, err = run(capsys, command, "--scenario", write_json(tmp_path / "unknown.json", doc))
         assert code == 2
-        assert "extra_field" in err
+        assert f"unknown field(s) [{key!r}]" in err
 
     def test_wrong_mode_exits_2(self, capsys, tmp_path):
         scenario, _ = simulate_scenario(tmp_path, mode="perturb")
@@ -493,7 +533,7 @@ class TestSimulateCommand:
 
     def test_bad_initial_state_exits_2(self, capsys, tmp_path):
         scenario, _ = simulate_scenario(tmp_path)
-        doc = json.loads(open(scenario).read())
+        doc = json.loads(Path(scenario).read_text())
         doc["initial_state"]["y1"] = -1.0
         scenario2 = write_json(tmp_path / "bad.json", doc)
         code, _, err = run(capsys, "simulate", "--scenario", scenario2)
@@ -559,7 +599,7 @@ class TestPerturbCommand:
         assert "exactly one" in err
 
     def test_hyperbolic_rejects_period_horizon(self, capsys, tmp_path):
-        doc = json.loads(open(self._scenario(tmp_path)).read())
+        doc = json.loads(Path(self._scenario(tmp_path)).read_text())
         doc["equilibrium"] = {"family": "hyperbolic", "d1": 0.5}
         scenario = write_json(tmp_path / "hyp.json", doc)
         code, _, err = run(capsys, "perturb", "--scenario", scenario)
@@ -567,7 +607,7 @@ class TestPerturbCommand:
         assert "horizon" in err
 
     def test_bad_sign_exits_2(self, capsys, tmp_path):
-        doc = json.loads(open(self._scenario(tmp_path)).read())
+        doc = json.loads(Path(self._scenario(tmp_path)).read_text())
         doc["equilibrium"]["sign"] = 2
         scenario = write_json(tmp_path / "sign.json", doc)
         code, _, err = run(capsys, "perturb", "--scenario", scenario)
@@ -588,7 +628,7 @@ class TestPerturbCommand:
 def test_distance_past_the_binary64_domain_exits_2(capsys, tmp_path, argv):
     # tanh(d1) rounds to 1 for d1 above about 19.06: a typed error, no traceback
     if argv[0] == "perturb":
-        doc = json.loads(open(TestPerturbCommand._scenario(tmp_path)).read())
+        doc = json.loads(Path(TestPerturbCommand._scenario(tmp_path)).read_text())
         doc["equilibrium"]["d1"] = 400.0
         argv += (write_json(tmp_path / "far.json", doc),)
     code, _, err = run(capsys, *argv)
@@ -619,14 +659,14 @@ def _src_env():
 def _non_finite_case(tmp_path, case):
     """Scenario path and extra flags for one invalid-number case."""
     if case.startswith("perturb"):
-        doc = json.loads(open(TestPerturbCommand._scenario(tmp_path)).read())
+        doc = json.loads(Path(TestPerturbCommand._scenario(tmp_path)).read_text())
         if case == "perturb-horizon-inf":
             del doc["protocol"]["horizon_periods"]
             doc["protocol"]["horizon"] = math.inf
         else:
             doc["integrator"] = {"rel_tol": 1e-15}
         return "perturb", write_json(tmp_path / "p.json", doc), []
-    doc = json.loads(open(simulate_scenario(tmp_path)[0]).read())
+    doc = json.loads(Path(simulate_scenario(tmp_path)[0]).read_text())
     flags = []
     if case == "simulate-rel_tol-inf":
         doc["integrator"]["rel_tol"] = math.inf
@@ -931,3 +971,18 @@ def test_console_script_installed(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["family"] == "elliptic"
+
+
+def test_readme_scenario_examples_run(capsys, tmp_path):
+    # the scenario files README.md prints, byte for byte, so the documented
+    # schema cannot drift from the parser
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [part.split("```")[0] for part in readme.split("```json\n")[1:]]
+    modes = [json.loads(block)["mode"] for block in blocks]
+    assert modes == ["simulate", "perturb"]
+    for mode, block in zip(modes, blocks):
+        scenario = tmp_path / f"{mode}.json"
+        scenario.write_text(block)
+        out = ["--out", str(tmp_path / "out")] if mode == "simulate" else []
+        code, _, err = run(capsys, mode, "--scenario", str(scenario), *out)
+        assert code == 0, err
