@@ -1,21 +1,18 @@
 """Time integration, conservation accounting, and perturbation experiments.
 
 Integration runs on an in-house Runge-Kutta engine, solve_ivp, that needs
-nothing but numpy, with one loop per Dormand-Prince pair. A run without a
-sample grid takes Dormand-Prince 8(5,3), "DOP853" (Hairer, Norsett &
+nothing but numpy: Dormand-Prince 8(5,3), "DOP853" (Hairer, Norsett &
 Wanner, Solving ODEs I, sec. II.10), following scipy's DOP853 in tableau,
 error norm, step controller, starting step, seventh-order dense output
-and event location. Its loop runs a batch, states of shape (8, N) that
+and event location. One loop runs a batch, states of shape (8, N) that
 keep a time, a step size and a status per column and evaluate the field
 once per stage for all columns still running, which is how the
 perturbation trials run; a lone state of shape (8,) runs as a batch of
 one, so the field sees it as (8, 1). A run sampled on a time grid is one
-trajectory on Dormand-Prince 5(4) (Dormand & Prince, J. Comput. Appl.
-Math. 6, 1980) as scipy's RK45 runs it, whose free quartic interpolant
-keeps the samples' conservation in step with the tolerance. Both loops
-let the step controller alone size each step, with no cap, and stop a
-trajectory at the first root of any event: every event is terminal.
-Trajectories are sampled on a uniform grid and carried around as plain
+trajectory in a loop of its own that clips each step to end on the next
+sample time, so every sample is a step's end point and none is
+interpolated. Neither loop caps the step, and both stop a trajectory at
+the first root of any event: every event is terminal. Trajectories are sampled on a uniform grid and carried around as plain
 arrays together with their conserved quantities and the engine's counters.
 Random draws come from a small counter-free shift-register generator so
 every experiment is reproducible from its seed alone, independent of any
@@ -242,61 +239,6 @@ def _scale(y, y_new, rtol, atol):
     return atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
 
 
-# Dormand-Prince 5(4) (Dormand & Prince, J. Comput. Appl. Math. 6, 1980)
-# with Shampine's (1986) quartic dense output, as in scipy's RK45
-_DP54_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40])
-_DP54_P = np.array([
-    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-])
-
-
-def _dp54_error_norm(y, y_new, ks, h, rtol, atol):
-    # one trajectory only, so ks is (7, n): the rms of the scaled error
-    # estimate, its squares summed by one dot
-    x = np.dot(_DP54_E, ks) * h / _scale(y, y_new, rtol, atol)
-    return math.sqrt(np.dot(x, x) / len(x))
-
-
-# four copies of x whose running products are x, x^2, x^3, x^4, rounded as
-# scipy's RK45 rounds them (np.power rounds x^3 and x^4 differently)
-_ONES = np.ones(4)
-
-
-def _quartic(t_old, h, y_old, ks):
-    """Quartic interpolant of one trajectory over [t_old, t_old + h], at a
-    time or a 1-D array of times: y_old + h q (x, x^2, x^3, x^4) with
-    x = (t - t_old) / h and q = ks^T P; it takes no call of fun."""
-    q = np.dot(ks.T, _DP54_P)
-
-    def sol(t):
-        x = (np.asarray(t, dtype=float) - t_old) / h
-        dy = h * np.dot(q, np.multiply.accumulate(np.multiply.outer(_ONES, x)))
-        return dy + (y_old if dy.ndim == 1 else y_old[:, None])
-
-    return sol
-
-
-_DP54 = _Pair(
-    a=_from_sparse([dict(enumerate(row)) for row in (
-        (),
-        (1 / 5,),
-        (3 / 40, 9 / 40),
-        (44 / 45, -56 / 15, 32 / 9),
-        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-        (35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-    )], 7),
-    c=np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1, 1]),
-    n_stages=6,
-    exponent=-1 / 5,
-)
-
 # Dormand-Prince 8(5,3), "DOP853" (Hairer, Norsett & Wanner, Solving ODEs I,
 # sec. II.10), with the coefficients of Hairer's dop853.f, as in scipy's
 # DOP853: stages 0-11 make the step, stage 12 is fun at the new point, and
@@ -500,8 +442,8 @@ def _initial_step(pair, fun, t0, y0, f0, interval, rtol, atol):
     """Starting step per column (Hairer, Norsett & Wanner, Solving ODEs I,
     sec. II.4); one call of fun."""
     scale = atol + np.abs(y0) * rtol
-    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
         h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), interval)
         d2 = _rms((fun(t0 + h0, y0 + h0 * f0) - f0) / scale) / h0
         h1 = np.where(
@@ -572,8 +514,8 @@ def _fire(events, g, g_new, sol, t_old, t):
 
 
 def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, events=()):
-    """Integrate y' = fun(t, y) forward over t_span with an adaptive
-    Dormand-Prince pair: DOP853, or DP5(4) where ``t_eval`` asks for samples.
+    """Integrate y' = fun(t, y) forward over t_span with DOP853, an
+    adaptive Dormand-Prince 8(5,3) pair.
 
     y0 of shape (n,) is one trajectory; (n, N) is a batch of N that keeps
     a time, a step size and a status per column, calls fun once per stage
@@ -586,22 +528,25 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, events=()):
     the two equal bit for bit.
 
     The step control, starting step, dense output and event location
-    follow scipy's DOP853, or its RK45 for DP5(4), with no cap on the step
-    size. A DOP853 step costs 12 calls of fun, and its seventh-order dense
-    output 3 more, built only for a step in which an event crosses zero (in
-    a batch, in one pass for the rows that do). An event is a function
-    ``event(t, y)`` with an optional ``direction`` attribute; in a batch it
-    receives (N,) times and (n, N) states. Every event is terminal: a
-    trajectory stops at the first root of any of them, which is its only
-    entry in ``t_events`` and ``y_events``.
+    follow scipy's DOP853, with no cap on the step size. A step costs 12
+    calls of fun, and its seventh-order dense output 3 more, built only
+    for a step in which an event crosses zero (in a batch, in one pass for
+    the rows that do). An event is a function ``event(t, y)`` with an
+    optional ``direction`` attribute; in a batch it receives (N,) times
+    and (n, N) states. Every event is terminal: a trajectory stops at the
+    first root of any of them, which is its only entry in ``t_events`` and
+    ``y_events``.
 
     Without ``t_eval`` every accepted step is returned. ``t_eval`` (one
-    trajectory only) samples the dense output of DP5(4) instead: 6 calls
-    a step, and none for its quartic interpolant. DOP853 would sample
-    worse: between its long steps its interpolant errs by up to about the
-    tolerance, and on a kicked bound orbit its drift falls about 8x per
-    decade of rtol where DP5(4)'s falls 16x, so the conservation of a
-    sampled run would follow the tolerance less closely.
+    trajectory only, receiving (n,) states and float times) returns the
+    state at each of its times instead: each step is clipped to end on the
+    next of them, and after an accepted clipped step the next one is the
+    larger of the controller's proposal and the step that was clipped, so
+    landing does not shorten the steps that follow. A grid finer than the
+    controller's step makes every step one sample, at 12 calls a sample.
+    Sampling the interpolant inside longer steps would take fewer calls,
+    but it errs by up to about the tolerance: one period on a grid of 256
+    then drifts 2.6e-10 in the conserved quantities, against 1e-15 landing.
     """
     t0, t_bound = float(t_span[0]), float(t_span[1])
     y0 = np.array(y0, dtype=float)
@@ -624,34 +569,44 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, events=()):
 
 
 def _solve_sampled(fun, t, t_bound, y, rtol, atol, t_eval, events):
-    """DP5(4) on one trajectory, sampled at t_eval through its quartic
-    interpolant."""
+    """DOP853 on one trajectory, each step clipped to end on the next
+    sample time of t_eval, so that every sample is a step's end point."""
     f = fun(t, y)
-    h_abs = float(_initial_step(_DP54, fun, t, y, f, t_bound - t, rtol, atol))
+    h_abs = float(_initial_step(_DOP853, fun, t, y, f, t_bound - t, rtol, atol))
     nfev, accepted, rejected, dense = 2, 0, 0, 0
     h_min, h_max = math.inf, 0.0
     g = [ev(t, y) for ev in events]
     t_events, y_events = [[] for _ in events], [[] for _ in events]
+    samples = t_eval.tolist()
     ts, ys = [], []
     i_eval = 0
+    t_out = t
     status = None
-    while status is None:
+    while True:
+        while i_eval < len(samples) and samples[i_eval] <= t_out:
+            ts.append(samples[i_eval])
+            ys.append(y)
+            i_eval += 1
+        if status is not None:
+            break
+        t_stop = min(samples[i_eval], t_bound) if i_eval < len(samples) else t_bound
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
         step_rejected = False
         while h_abs >= min_step:
-            t_new = min(t + h_abs, t_bound)
+            t_new = min(t + h_abs, t_stop)
             h = t_new - t
-            y_new, ks = _rk_step(_DP54, fun, t, y, f, h)
-            nfev += _DP54.n_stages
-            err = _dp54_error_norm(y, y_new, ks, h, rtol, atol)
+            y_new, ks = _rk_step(_DOP853, fun, t, y, f, h)
+            nfev += _DOP853.n_stages
+            err = _dop853_error_norm(y, y_new, ks, h, rtol, atol)
             if err < 1:
-                # np.power: ** on a Python float rounds differently and would move the steps
-                factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * np.power(err, _DP54.exponent))
-                h_abs = h * (min(1.0, factor) if step_rejected else factor)
+                factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * np.power(err, _DOP853.exponent))
+                proposal = h * (min(1.0, factor) if step_rejected else factor)
+                # a step clipped onto a sample leaves the planned step as it was
+                h_abs = max(proposal, h_abs) if t_new == t_stop else proposal
                 break
-            h_abs = h * max(_MIN_FACTOR, _SAFETY * np.power(err, _DP54.exponent))
+            h_abs = h * max(_MIN_FACTOR, _SAFETY * np.power(err, _DOP853.exponent))
             step_rejected = True
             rejected += 1
         else:
@@ -660,33 +615,25 @@ def _solve_sampled(fun, t, t_bound, y, rtol, atol, t_eval, events):
         accepted += 1
         h_min, h_max = min(h_min, h), max(h_max, h)
         t_old, y_old = t, y
-        t, y, f = t_new, y_new, ks[_DP54.n_stages]
+        t, y, f = t_new, y_new, ks[_DOP853.n_stages]
+        t_out = t
         if t >= t_bound:
             status = 0
-        sol = None
-        t_out = t
         if events:
             g_new = [ev(t, y) for ev in events]
             if any(_crossed(a, b, getattr(ev, "direction", 0)) for a, b, ev in zip(g, g_new, events)):
-                sol = _quartic(t_old, h, y_old, ks)
+                _fill(_DOP853, fun, t_old, y_old, h, ks, _EXTRA)
+                nfev += len(_EXTRA)
                 dense += 1
+                sol = _interpolant(t_old, h, y_old, y, ks)
                 t_out, e = _fire(events, g, g_new, sol, t_old, t)
                 t_events[e].append(t_out)
                 y_events[e].append(sol(t_out))
                 status = 1
             g = g_new
-        if i_eval < t_eval.size and t_eval[i_eval] <= t_out:
-            # the step reached the next sample: take every one it reached
-            j = int(np.searchsorted(t_eval, t_out, side="right"))
-            if sol is None:
-                sol = _quartic(t_old, h, y_old, ks)
-                dense += 1
-            ts.append(t_eval[i_eval:j])
-            ys.append(sol(t_eval[i_eval:j]))
-            i_eval = j
     return OdeResult(
-        t=np.concatenate(ts) if ts else np.empty(0),
-        y=np.hstack(ys) if ys else np.empty((y.size, 0)),
+        t=np.array(ts),
+        y=np.array(ys).reshape(-1, y.size).T,
         t_events=[np.array(te) for te in t_events],
         y_events=[np.array(ye) for ye in y_events],
         status=status,
@@ -727,7 +674,7 @@ def _solve_batch(fun, t0, t_bound, y, rtol, atol, events):
         while rows.size:
             min_step = 10 * (np.nextafter(t, np.inf) - t)
             h_abs = np.where(fresh, np.maximum(h_abs, min_step), h_abs)
-            failed = h_abs < min_step
+            failed = ~(h_abs >= min_step)  # a NaN step fails too
             if failed.any():
                 for j in np.flatnonzero(failed):
                     status[rows[j]] = -1
@@ -834,13 +781,14 @@ def integrate(
 ) -> TrajectoryRecord:
     """Integrate the equations of motion over [0, t_end].
 
-    Adaptive Dormand-Prince 5(4) with the configured tolerances, sampling
-    on the uniform grid of sample_dt (t_end / 256 when unset). A separation
+    Adaptive DOP853 with the configured tolerances, its steps landing on
+    the uniform grid of sample_dt (t_end / 256 when unset). A separation
     crossing the collision cutoff terminates the run and raises
     CollisionDuringIntegration carrying the partial record; a step size
     underflow raises StepSizeUnderflow the same way. The record's stats
     hold the engine's counters: field evaluations, accepted and rejected
-    steps, interpolants built and the smallest and largest accepted step.
+    steps, interpolants built (only to locate a collision) and the
+    smallest and largest accepted step.
     """
     m1, m2, k = params.m1, params.m2, params.k
 
@@ -965,19 +913,24 @@ class PerturbationExperiment:
         _require_tolerances(self.rel_tol, self.abs_tol)
 
 
+# draws of one start before the scale is judged to leave none valid
+_MAX_DRAWS = 1000
+
+
 def _draw_perturbed(rng: Xoshiro256StarStar, z0: np.ndarray, scale: float):
-    """One valid perturbed start, with the number of redraws it took."""
-    redraws = 0
-    while True:
+    """One valid perturbed start, with the number of redraws it took;
+    ValueError if none of _MAX_DRAWS draws is valid."""
+    for redraws in range(_MAX_DRAWS):
         delta = np.array([rng.normal() for _ in range(8)])
         norm = float(np.linalg.norm(delta))
         if norm == 0.0:
-            redraws += 1
             continue
         z = z0 + delta * (scale / norm)
-        if z[1] > 0.0 and z[3] > 0.0 and separation(*z[:4]) > COLLISION_EPSILON:
-            return z, redraws
-        redraws += 1
+        # a separation that overflows is NaN and fails the test
+        with np.errstate(over="ignore", invalid="ignore"):
+            if z[1] > 0.0 and z[3] > 0.0 and separation(*z[:4]) > COLLISION_EPSILON:
+                return z, redraws
+    raise ValueError(f"no valid start in {_MAX_DRAWS} draws at scale {scale!r}")
 
 
 def perturb_and_measure(experiment: PerturbationExperiment) -> dict:

@@ -438,7 +438,12 @@ class TestSimulateCommand:
         assert rec.distance[-1] == pytest.approx(1e-8, rel=1e-2, abs=0.0)
 
     def test_rel_tol_override_loosens_drift(self, capsys, tmp_path):
-        scenario, _ = simulate_scenario(tmp_path)
+        # one sample a period, so that the tolerance bounds the step (on a
+        # grid finer than the step both tolerances give the same steps)
+        re = build_relative_equilibrium(Family.ELLIPTIC, 0.5, 0.5, Params(1.0, 1.0, 1.0))
+        scenario, _ = simulate_scenario(
+            tmp_path, integrator={"t_end": 10.0 * re.period, "sample_dt": re.period}
+        )
         tight_dir, loose_dir = tmp_path / "tight", tmp_path / "loose"
         assert (
             run(capsys, "simulate", "--scenario", scenario, "--out", str(tight_dir))[0]
@@ -505,10 +510,10 @@ class TestSimulateCommand:
         assert run(capsys, "simulate", "--scenario", scenario, "--out", str(outdir))[0] == 0
         stats = json.loads((outdir / "conservation.json").read_text())["stats"]
         assert set(stats) == {"nfev", "accepted", "rejected", "dense", "h_min", "h_max"}
-        # a sampled run is DP5(4): two field calls choose the first step,
-        # then six per attempted step, and its interpolants take none
-        assert stats["nfev"] == 2 + 6 * (stats["accepted"] + stats["rejected"])
-        assert 0 < stats["dense"] <= stats["accepted"]
+        # DOP853: two field calls choose the first step, then twelve per
+        # attempted step and three per interpolant, which only an event builds
+        assert stats["nfev"] == 2 + 12 * (stats["accepted"] + stats["rejected"]) + 3 * stats["dense"]
+        assert stats["dense"] == 0
         assert 0.0 < stats["h_min"] <= stats["h_max"]
 
     def test_step_underflow_exits_4_with_partial_record(self, capsys, tmp_path, monkeypatch):
@@ -712,6 +717,48 @@ def test_non_finite_or_sub_floor_numbers_exit_2(tmp_path, case):
     )
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:")
+
+
+def _run_cli(tmp_path, *argv):
+    """One h2body call in a fresh process, stopped after 60 s so that a
+    call that never returns fails instead of hanging the suite."""
+    return subprocess.run(
+        [sys.executable, "-m", "h2body.cli", *argv],
+        capture_output=True, text=True, cwd=tmp_path, env=_src_env(), timeout=60,
+    )
+
+
+def test_perturb_with_an_overflowing_field_ends_each_trial(tmp_path):
+    # a 1e-4 kick on a body of mass 1e-300 overflows the field, so the
+    # starting step is NaN; each row ends as a step underflow, warning-free
+    doc = json.loads(Path(TestPerturbCommand._scenario(tmp_path)).read_text())
+    doc["params"]["m1"] = 1e-300
+    proc = _run_cli(tmp_path, "perturb", "--scenario", write_json(tmp_path / "p.json", doc))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    report = json.loads(proc.stdout)
+    assert [t["error"] for t in report["trials"]] == ["step_underflow"] * 2
+
+
+def test_simulate_with_an_overflowing_field_exits_4(tmp_path):
+    scenario, _ = simulate_scenario(tmp_path)
+    doc = json.loads(Path(scenario).read_text())
+    doc["params"]["m1"] = 1e-300
+    doc["initial_state"]["px1"] = 1e-4
+    proc = _run_cli(tmp_path, "simulate", "--scenario", write_json(tmp_path / "s.json", doc),
+                    "--out", str(tmp_path / "out"))
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("error: step size underflow at t = ")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_perturb_scale_with_no_valid_start_exits_2(tmp_path):
+    # every kick of chart norm 1e300 overflows the separation test
+    scenario = TestPerturbCommand._scenario(tmp_path, scale=1e300)
+    proc = _run_cli(tmp_path, "perturb", "--scenario", scenario)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: no valid start in 1000 draws at scale 1e+300\n"
 
 
 def test_cli_import_leaves_scipy_out(tmp_path):

@@ -244,7 +244,10 @@ class TestIntegrate:
 
     def test_drift_shrinks_with_tolerance(self):
         # each 10x tightening of rel_tol cuts the worst drift by well over
-        # 5x on a fixed orbit (measured ~16x per decade)
+        # 5x on a fixed orbit (measured 6.8x, 8.5x, 9.2x), on a grid coarse
+        # enough that the tolerance, not the sample spacing, bounds the
+        # step; at every tolerance the drift stays within what Dormand-
+        # Prince 5(4) with its quartic interpolant gave on this orbit
         re = _equal_mass_elliptic()
         state = _kicked_bound_state(re)
         drifts = []
@@ -252,12 +255,13 @@ class TestIntegrate:
             rec = integrate(
                 state,
                 re.params,
-                IntegratorConfig(t_end=20.0, rel_tol=rt, abs_tol=1e-14),
+                IntegratorConfig(t_end=20.0, rel_tol=rt, abs_tol=1e-14, sample_dt=2.5),
             )
             drifts.append(max(conservation_report(rec).values()))
         for loose, tight in zip(drifts, drifts[1:]):
             assert tight < loose / 5.0
-        assert drifts[-1] < drifts[0] / 500.0
+        for drift, ceiling in zip(drifts, (7.1e-8, 4.3e-9, 2.6e-10, 1.6e-11)):
+            assert drift < ceiling
 
     def test_time_reversal_round_trip(self):
         # flip momenta, integrate the same horizon, flip back: lands within
@@ -300,12 +304,24 @@ class TestIntegrate:
         assert dev < 1e-6
 
     def test_compare_analytic_grows_with_loose_tolerance(self):
+        # one sample a period, so that the tolerance bounds the step (on a
+        # grid finer than the step both tolerances give the same steps)
         re = _equal_mass_elliptic()
-        tight = compare_analytic(re, IntegratorConfig(t_end=re.period))
-        loose = compare_analytic(
-            re, IntegratorConfig(t_end=re.period, rel_tol=1e-5, abs_tol=1e-8)
-        )
+        cfg = dict(t_end=10.0 * re.period, sample_dt=re.period)
+        tight = compare_analytic(re, IntegratorConfig(**cfg))
+        loose = compare_analytic(re, IntegratorConfig(**cfg, rel_tol=1e-5, abs_tol=1e-8))
         assert loose > 10.0 * tight
+
+    def test_steps_land_on_a_grid_finer_than_the_step(self):
+        # 256 samples a period is finer than the controller's step, so each
+        # step is one sample: twelve field calls a sample, no interpolant
+        re = _equal_mass_elliptic()
+        cfg = IntegratorConfig(t_end=re.period)
+        rec = integrate(initial_state(re), re.params, cfg)
+        np.testing.assert_array_equal(rec.t, cfg.sample_times())
+        assert rec.stats["nfev"] == 2 + 12 * 256
+        assert (rec.stats["accepted"], rec.stats["rejected"], rec.stats["dense"]) == (256, 0, 0)
+        assert max(conservation_report(rec).values()) < 1e-13
 
     def test_hyperbolic_family_tracked_too(self):
         params = Params(1.0, 1.0)
@@ -399,8 +415,7 @@ def _escape_event(re, threshold=0.5):
 
 class TestEngine:
     """The in-house engine against scipy, an independent implementation
-    of the same methods (RK45 for sampled runs, DOP853 otherwise), and
-    batch rows against lone runs."""
+    of the same method, and batch rows against lone runs."""
 
     def test_dop853_tableau_matches_scipy(self):
         from scipy.integrate._ivp import dop853_coefficients as ref
@@ -414,18 +429,6 @@ class TestEngine:
         # consistency: each stage's weights sum to its node, the solution's to 1
         np.testing.assert_allclose(pair.a.sum(axis=1), pair.c, rtol=0.0, atol=4e-15)
         assert pair.a[pair.n_stages].sum() == pytest.approx(1.0, rel=0.0, abs=1e-15)
-
-    def test_dp54_error_norm_matches_the_ordered_sum(self):
-        # the norm sums its squares with one dot, whose order may differ
-        # from the left-to-right sum of _rms by a few roundings and no more
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            y, y_new = rng.standard_normal((2, 8)) * 10.0 ** rng.integers(-3, 4, (2, 8))
-            ks = rng.standard_normal((7, 8)) * 10.0 ** rng.integers(-3, 4, (7, 8))
-            h, rtol, atol = 10.0 ** rng.uniform(-4, 0), 1e-10, 1e-12
-            x = np.dot(sim_mod._DP54_E, ks) * h / sim_mod._scale(y, y_new, rtol, atol)
-            got = sim_mod._dp54_error_norm(y, y_new, ks, h, rtol, atol)
-            assert got == pytest.approx(sim_mod._rms(x), rel=8 * np.finfo(float).eps, abs=0.0)
 
     def test_unsampled_trajectory_matches_scipy_dop853_over_100_periods(self):
         re = _equal_mass_elliptic()
@@ -456,7 +459,9 @@ class TestEngine:
         assert ours.status == ref.status == 0
         assert ours.nfev < 0.4 * ref.nfev
 
-    def test_one_trajectory_matches_scipy_rk45_over_100_periods(self):
+    def test_sampled_trajectory_matches_tight_scipy_dop853_over_100_periods(self):
+        # no scipy method lands its steps on the samples, so the reference
+        # is scipy's DOP853 at a far tighter tolerance on the same grid
         re = _equal_mass_elliptic()
         state = _kicked_bound_state(re)
         cfg = IntegratorConfig(
@@ -464,14 +469,12 @@ class TestEngine:
         )
         rec = integrate(state, re.params, cfg)
         ref = scipy_solve_ivp(
-            _rhs(re.params), (0.0, cfg.t_end), state.as_array(), method="RK45",
-            rtol=cfg.rel_tol, atol=cfg.abs_tol, t_eval=cfg.sample_times(),
+            _rhs(re.params), (0.0, cfg.t_end), state.as_array(), method="DOP853",
+            rtol=1e-13, atol=1e-15, t_eval=cfg.sample_times(),
         )
         assert ref.status == 0
         np.testing.assert_array_equal(rec.t, ref.t)
-        np.testing.assert_allclose(rec.states, ref.y.T, rtol=0.0, atol=1e-9)
-        # the same controller takes (nearly) the same steps
-        assert abs(rec.stats["nfev"] - ref.nfev) <= 0.01 * ref.nfev
+        np.testing.assert_allclose(rec.states, ref.y.T, rtol=0.0, atol=1e-5)
 
     @pytest.mark.parametrize("u, periods", [(0.4, 3.0), (0.8, 20.0)])
     def test_batch_rows_match_lone_runs(self, u, periods):
@@ -582,10 +585,10 @@ class TestCounters:
         stats = rec.stats
         assert set(stats) == {"nfev", "accepted", "rejected", "dense", "h_min", "h_max"}
         assert stats["nfev"] == len(calls)
-        # a sampled run is DP5(4): two calls choose the first step, then six
-        # per attempted step, and its quartic interpolants take none
-        assert stats["nfev"] == 2 + 6 * (stats["accepted"] + stats["rejected"])
-        assert 0 < stats["dense"] <= stats["accepted"]
+        # DOP853: two calls choose the first step, then twelve per attempted
+        # step and three per interpolant, which only an event builds
+        assert stats["nfev"] == 2 + 12 * (stats["accepted"] + stats["rejected"]) + 3 * stats["dense"]
+        assert stats["dense"] == 0
         # the accepted steps tile [0, t_end], so their mean lies between the bounds
         assert 0.0 < stats["h_min"] <= re.period / stats["accepted"] <= stats["h_max"]
 
