@@ -11,9 +11,13 @@ perturbation trials run; a lone state of shape (8,) runs as a batch of
 one, so the field sees it as (8, 1). A run sampled on a time grid is one
 trajectory in a loop of its own that clips each step to end on the next
 sample time, so every sample is a step's end point and none is
-interpolated. Neither loop caps the step, and both stop a trajectory at
-the first root of any event: every event is terminal. Trajectories are sampled on a uniform grid and carried around as plain
-arrays together with their conserved quantities and the engine's counters.
+interpolated. That loop keeps its stages in one matrix, the state as
+row 0, and scales the weights by h, so a stage is one matrix product;
+the batch keeps the rounding of each column independent of the others.
+Neither loop caps the step, and both stop a trajectory at the first root
+of any event: every event is terminal. Trajectories are sampled on a
+uniform grid and carried around as plain arrays together with their
+conserved quantities and the engine's counters.
 Random draws come from a small counter-free shift-register generator so
 every experiment is reproducible from its seed alone, independent of any
 global random state.
@@ -43,6 +47,9 @@ from .geom import separation
 _CSV_SCHEMA = "#schema=v1"
 _CSV_COLUMNS = "t,x1,y1,x2,y2,px1,py1,px2,py2,energy,Jh,Je,Jp,dist"
 _CSV_ROW = ",".join(["%.17g"] * len(_CSV_COLUMNS.split(","))) + "\n"
+# rows are formatted from Python floats a block at a time: one list of a
+# whole 5,000-row record would raise peak memory by about 2.5 MB
+_CSV_BLOCK = 512
 
 
 # -- deterministic random numbers ----------------------------------------
@@ -351,6 +358,12 @@ _DOP853_D = _from_sparse([
      14: -0.39177261675615439165231486172e+2, 15: -0.14972683625798562581422125276e+3},
 ], 16)
 _EXTRA = range(13, 16)
+# the sampled loop's stage matrix has the state as row 0 and stage i as row
+# i + 1, so its weights gain a leading column for the state and its error
+# estimators, stacked, are zero under the state and the dense-output rows
+_LONE_A = np.hstack((np.zeros((16, 1)), _DOP853_A))
+_LONE_E = np.zeros((2, 17))
+_LONE_E[:, 1:14] = _DOP853_E5, _DOP853_E3
 
 
 def _dop853_error_norm(y, y_new, ks, h, rtol, atol):
@@ -361,6 +374,24 @@ def _dop853_error_norm(y, y_new, ks, h, rtol, atol):
     e5 = _sum_squares(np.dot(_DOP853_E5, flat).reshape(y.shape) / scale)
     e3 = _sum_squares(np.dot(_DOP853_E3, flat).reshape(y.shape) / scale)
     return h * e5 / np.sqrt(np.maximum(e5 + 0.01 * e3, _TINY) * len(y))
+
+
+def _lone_step(fun, t, y, f, h, rtol, atol):
+    """One DOP853 step of a lone (n,) trajectory at one matrix product per
+    stage: the new solution, the (17, n) stage matrix (row 0 the state,
+    then _rk_step's stage array up to fun at the new point) and the error
+    norm of _dop853_error_norm as a float."""
+    stages = np.zeros((17, y.size))
+    stages[0], stages[1] = y, f
+    hw = _LONE_A * h
+    hw[:, 0] = 1.0
+    nodes = _DOP853.nodes
+    for i in range(1, _DOP853.n_stages + 1):
+        y_new = np.dot(hw[i], stages)
+        stages[i + 1] = fun(t + nodes[i] * h, y_new)
+    e = np.dot(_LONE_E, stages) / _scale(y, y_new, rtol, atol)
+    e5, e3 = (e * e).sum(axis=1).tolist()
+    return y_new, stages, h * e5 / math.sqrt(max(e5 + 0.01 * e3, _TINY) * y.size)
 
 
 def _interpolant(t_old, h, y_old, y, ks):
@@ -525,7 +556,9 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, events=()):
     (n, 1) states and (1,) times, and the result is the batch's row 0. A
     column of a batch goes through the same operations as that trajectory
     run alone, so it does not depend on the other columns; the tests hold
-    the two equal bit for bit.
+    the two equal bit for bit. A run with ``t_eval`` instead keeps a stage
+    matrix, the state as row 0 and the weights scaled by h, at one matrix
+    product a stage, and so rounds differently from a batch.
 
     The step control, starting step, dense output and event location
     follow scipy's DOP853, with no cap on the step size. A step costs 12
@@ -597,16 +630,15 @@ def _solve_sampled(fun, t, t_bound, y, rtol, atol, t_eval, events):
         while h_abs >= min_step:
             t_new = min(t + h_abs, t_stop)
             h = t_new - t
-            y_new, ks = _rk_step(_DOP853, fun, t, y, f, h)
+            y_new, stages, err = _lone_step(fun, t, y, f, h, rtol, atol)
             nfev += _DOP853.n_stages
-            err = _dop853_error_norm(y, y_new, ks, h, rtol, atol)
             if err < 1:
-                factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * np.power(err, _DOP853.exponent))
+                factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err ** _DOP853.exponent)
                 proposal = h * (min(1.0, factor) if step_rejected else factor)
                 # a step clipped onto a sample leaves the planned step as it was
                 h_abs = max(proposal, h_abs) if t_new == t_stop else proposal
                 break
-            h_abs = h * max(_MIN_FACTOR, _SAFETY * np.power(err, _DOP853.exponent))
+            h_abs = h * max(_MIN_FACTOR, _SAFETY * err ** _DOP853.exponent)
             step_rejected = True
             rejected += 1
         else:
@@ -614,7 +646,7 @@ def _solve_sampled(fun, t, t_bound, y, rtol, atol, t_eval, events):
             break
         accepted += 1
         h_min, h_max = min(h_min, h), max(h_max, h)
-        t_old, y_old = t, y
+        t_old, y_old, ks = t, y, stages[1:]
         t, y, f = t_new, y_new, ks[_DOP853.n_stages]
         t_out = t
         if t >= t_bound:
@@ -637,7 +669,7 @@ def _solve_sampled(fun, t, t_bound, y, rtol, atol, t_eval, events):
         t_events=[np.array(te) for te in t_events],
         y_events=[np.array(ye) for ye in y_events],
         status=status,
-        message=_message(status, t),
+        message=_message(status, t, nan_step=math.isnan(h_abs)),
         accepted=accepted,
         rejected=rejected,
         dense=dense,
@@ -647,12 +679,14 @@ def _solve_sampled(fun, t, t_bound, y, rtol, atol, t_eval, events):
     )
 
 
-def _message(status, t):
+def _message(status, t, nan_step=False):
     if status == 0:
         return "reached the end of the integration interval"
     if status == 1:
         return "a terminal event occurred"
-    return f"step size underflow at t = {float(t)!r}: the step is below the spacing of floats"
+    cause = ("the step size is not a number (the field overflows the error scale)" if nan_step
+             else "the step is below the spacing of floats")
+    return f"step size underflow at t = {float(t)!r}: {cause}"
 
 
 def _solve_batch(fun, t0, t_bound, y, rtol, atol, events):
@@ -847,12 +881,13 @@ def _max_chart_deviation(re: RelativeEquilibrium, ts, states) -> float:
 
 def write_trajectory_csv(record: TrajectoryRecord, path) -> None:
     """Write the record with a schema header line; 17 significant digits."""
+    cols = (record.t, record.states, record.energy, record.momentum, record.distance)
     with open(path, "w") as f:
         f.write(_CSV_SCHEMA + "\n")
         f.write(_CSV_COLUMNS + "\n")
-        for i in range(record.t.shape[0]):
-            f.write(_CSV_ROW % (record.t[i], *record.states[i], record.energy[i],
-                               *record.momentum[i], record.distance[i]))
+        for i in range(0, record.t.shape[0], _CSV_BLOCK):
+            block = np.column_stack([c[i:i + _CSV_BLOCK] for c in cols]).tolist()
+            f.writelines(_CSV_ROW % tuple(row) for row in block)
 
 
 def read_trajectory_csv(path) -> TrajectoryRecord:

@@ -749,6 +749,8 @@ def test_simulate_with_an_overflowing_field_exits_4(tmp_path):
                     "--out", str(tmp_path / "out"))
     assert proc.returncode == 4, proc.stderr
     assert proc.stderr.startswith("error: step size underflow at t = ")
+    assert proc.stderr.endswith(
+        ": the step size is not a number (the field overflows the error scale)\n")
     assert proc.stderr.count("\n") == 1
 
 

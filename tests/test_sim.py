@@ -212,6 +212,18 @@ class TestRecords:
         assert lines[2:] == [",".join("%.17g" % v for v in row) for row in values] + [""]
         assert lines[2].startswith("-0,4.9406564584124654e-324,0.10000000000000001,")
 
+    def test_csv_rows_cross_write_blocks(self, tmp_path):
+        # rows are formatted a block at a time; none is lost or repeated
+        # where one block ends and the next begins
+        n = 2 * sim_mod._CSV_BLOCK + 1
+        values = np.arange(14.0 * n).reshape(n, 14) / 7.0
+        rec = TrajectoryRecord(values[:, 0], values[:, 1:9], values[:, 9], values[:, 10:13],
+                               values[:, 13])
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(rec, path)
+        lines = path.read_text().split("\n")
+        assert lines[2:] == [",".join("%.17g" % v for v in row) for row in values] + [""]
+
     def test_csv_rejects_foreign_files(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("#schema=v2\nt,x\n")
@@ -426,6 +438,12 @@ class TestEngine:
         np.testing.assert_array_equal(sim_mod._DOP853_E3, ref.E3)
         np.testing.assert_array_equal(sim_mod._DOP853_E5, ref.E5)
         np.testing.assert_array_equal(sim_mod._DOP853_D, ref.D)
+        # the lone loop's copies: a leading column for the state, and the
+        # two error estimators over stages 0-12 only
+        np.testing.assert_array_equal(sim_mod._LONE_A[:, 0], 0.0)
+        np.testing.assert_array_equal(sim_mod._LONE_A[:, 1:], ref.A)
+        np.testing.assert_array_equal(sim_mod._LONE_E[:, 1:14], [ref.E5, ref.E3])
+        np.testing.assert_array_equal(sim_mod._LONE_E[:, [0, 14, 15, 16]], 0.0)
         # consistency: each stage's weights sum to its node, the solution's to 1
         np.testing.assert_allclose(pair.a.sum(axis=1), pair.c, rtol=0.0, atol=4e-15)
         assert pair.a[pair.n_stages].sum() == pytest.approx(1.0, rel=0.0, abs=1e-15)
@@ -475,6 +493,29 @@ class TestEngine:
         assert ref.status == 0
         np.testing.assert_array_equal(rec.t, ref.t)
         np.testing.assert_allclose(rec.states, ref.y.T, rtol=0.0, atol=1e-5)
+
+    @pytest.mark.parametrize("u, c", [(0.4, 1.0), (0.3, 3.0)])
+    def test_sampled_loop_steps_like_the_batch(self, u, c):
+        # with t_eval = [0, T] only the last step is clipped, so the lone
+        # loop, whose stage matrix rounds differently, must take the batch's
+        # steps; stable points only, where rounding is not amplified. The
+        # error estimate cancels to about 1e-10 of its terms, so an ulp in
+        # a stage moves it by about 1e-6 and the next step by 1/8 of that
+        d1 = math.atanh(u)
+        params = Params(c, 1.0)
+        re = build_relative_equilibrium(Family.ELLIPTIC, d1, partner_distance(d1, params), params)
+        start = _kicked_starts(re, 1)[:, 0]
+        span = (0.0, 10.0 * re.period)
+        lone = sim_mod.solve_ivp(_rhs(params), span, start, rtol=1e-10, atol=1e-12,
+                                 t_eval=list(span))
+        batch = sim_mod.solve_ivp(_rhs(params), span, start, rtol=1e-10, atol=1e-12)
+        assert lone.status == batch.status == 0
+        assert (lone.accepted, lone.rejected, lone.nfev) == (
+            batch.accepted, batch.rejected, batch.nfev)
+        assert lone.h_min == pytest.approx(batch.h_min, rel=1e-5, abs=0.0)
+        assert lone.h_max == pytest.approx(batch.h_max, rel=1e-5, abs=0.0)
+        np.testing.assert_array_equal(lone.t, span)
+        np.testing.assert_allclose(lone.y[:, -1], batch.y[:, -1], rtol=0.0, atol=1e-10)
 
     @pytest.mark.parametrize("u, periods", [(0.4, 3.0), (0.8, 20.0)])
     def test_batch_rows_match_lone_runs(self, u, periods):
