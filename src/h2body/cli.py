@@ -6,10 +6,11 @@ equilibrium), stability (closed-form blocks against their numerical
 oracles), threshold-curve (stability threshold over a mass-ratio range),
 and perturb (seeded perturbation experiment from a scenario file).
 
-Exit codes: 0 success, 2 validation failure or an output path that
-cannot be written, 3 collision during integration, 4 integrator step
-underflow, 5 a closed form disagreeing with its oracle (stability blocks,
-rate or criticality cross-checks, intrinsic geometry checks).
+Exit codes: 0 success, 2 validation failure, an output path that cannot
+be written or an input too large for memory, 3 collision during
+integration, 4 integrator step underflow, 5 a closed form disagreeing
+with its oracle (stability blocks, rate or criticality cross-checks,
+intrinsic geometry checks).
 JSON documents are written on one line (pipe them through
 ``python -m json.tool`` to indent them), numbers as the shortest repr that
 round-trips binary64; CSV numbers with 17 significant digits.
@@ -144,19 +145,11 @@ def _parse_params(scenario) -> Params:
     )
 
 
-def _parse_integrator(obj, path, overrides) -> IntegratorConfig:
+def _parse_integrator(obj, path) -> IntegratorConfig:
     keys = ("t_end", "rel_tol", "abs_tol", "sample_dt")
     _check_keys(obj, path, ("t_end",), keys)
     kwargs = {key: _num(obj, path, key, positive=True) for key in keys if key in obj}
-    kwargs.update(overrides)
     return IntegratorConfig(**kwargs)
-
-
-def _tolerance_flags(args) -> dict:
-    """The --rel-tol and --abs-tol values given, which override the scenario's."""
-    return {
-        key: getattr(args, key) for key in ("rel_tol", "abs_tol") if getattr(args, key) is not None
-    }
 
 
 # -- subcommands ---------------------------------------------------------
@@ -173,7 +166,7 @@ def cmd_simulate(args) -> int:
         state = phase_state(*coords)
     except (ValueError, H2BodyError) as exc:
         raise ScenarioError(f"invalid initial state: {exc}") from exc
-    config = _parse_integrator(scenario["integrator"], "integrator", _tolerance_flags(args))
+    config = _parse_integrator(scenario["integrator"], "integrator")
 
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "trajectory.csv")
@@ -358,7 +351,6 @@ def cmd_perturb(args) -> int:
         for key in ("rel_tol", "abs_tol"):
             if key in scenario["integrator"]:
                 kwargs[key] = _num(scenario["integrator"], "integrator", key, positive=True)
-    kwargs.update(_tolerance_flags(args))
     seed = args.seed if args.seed is not None else _intval(proto, "protocol", "seed", 0)
     experiment = PerturbationExperiment(
         base=re,
@@ -389,8 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="integrate a scenario file")
     p.add_argument("--scenario", required=True, help="scenario JSON path")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--rel-tol", type=float, default=None, dest="rel_tol")
-    p.add_argument("--abs-tol", type=float, default=None, dest="abs_tol")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("equilibrium", help="build a relative equilibrium")
@@ -422,8 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p.add_argument("--out", default=None)
-    p.add_argument("--rel-tol", type=float, default=None, dest="rel_tol")
-    p.add_argument("--abs-tol", type=float, default=None, dest="abs_tol")
     p.set_defaults(func=cmd_perturb)
 
     return parser
@@ -442,6 +430,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         # scenario reads raise ScenarioError, so this is an output path
         print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # an input that asks for more samples or points than memory holds
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -300,24 +300,12 @@ class LockedInertia:
 
     m: np.ndarray
 
-    def apply(self, xi: AlgebraElement) -> CoalgebraElement:
-        e, h, p = self.m @ xi.coords()
-        return CoalgebraElement(e, h, p)
-
     def inverse_apply(self, mu: CoalgebraElement, *more: CoalgebraElement):
         """II^{-1} mu; given more right-hand sides, the list of II^{-1} of
         each, from one solve."""
         sol = np.linalg.solve(self.m, np.array([c.coords() for c in (mu, *more)]).T)
         out = [AlgebraElement(*col) for col in sol.T.tolist()]
         return out if more else out[0]
-
-    def bilinear(self, xi: AlgebraElement, eta: AlgebraElement) -> float:
-        return float(xi.coords() @ self.m @ eta.coords())
-
-    def cholesky(self) -> np.ndarray:
-        """Lower Cholesky factor; fails if the tensor is not positive
-        definite, which cannot happen for an actual configuration."""
-        return np.linalg.cholesky(self.m)
 
 
 def _body_inertia(x, y, m):

@@ -317,7 +317,14 @@ def build_relative_equilibrium(
     # underflowed sinh(d)^2
     config = canonical_configuration(d1, d2)
     d = d1 + d2
-    omega2 = 2.0 * params.k * params.m1 / (math.sinh(d) ** 2 * math.sinh(2.0 * d2))
+    num, den = 2.0 * params.k * params.m1, math.sinh(d) ** 2 * math.sinh(2.0 * d2)
+    omega2 = num / den if den else 0.0
+    if omega2 == 0.0:
+        # the denominator or the quotient underflowed: no motion, no period
+        raise OutOfRange(
+            "the rate is out of range: omega^2 = 2 k m1 / (sinh(d)^2 sinh(2 d2)) "
+            f"= {num!r} / {den!r} underflows"
+        )
     omega2_alt = 2.0 * params.k * params.m2 / (math.sinh(d) ** 2 * math.sinh(2.0 * d1))
     omega2_canonical = _omega2_canonical(d1, d2, params)
     if (
@@ -402,6 +409,11 @@ def analytic_trajectory(re: RelativeEquilibrium, t: float) -> PhaseState:
 
 # -- intrinsic verification ----------------------------------------------
 
+# times per orbit (elliptic) or per 10 / max(1, |omega|) (hyperbolic)
+# at which intrinsic_checks samples the motion
+_INTRINSIC_SAMPLES = 16
+
+
 @dataclass(frozen=True)
 class IntrinsicReport:
     """Geometric facts checked along an equilibrium trajectory."""
@@ -434,7 +446,7 @@ class IntrinsicReport:
         }
 
 
-def intrinsic_checks(re: RelativeEquilibrium, n_samples: int = 16) -> IntrinsicReport:
+def intrinsic_checks(re: RelativeEquilibrium) -> IntrinsicReport:
     """Verify the hallmark geometry of the motion at sampled times.
 
     Checks that body velocities stay normal to the connecting geodesic,
@@ -453,8 +465,8 @@ def intrinsic_checks(re: RelativeEquilibrium, n_samples: int = 16) -> IntrinsicR
         expected = Orientation.OPPOSITE
         speeds = (w * math.sinh(re.d1), w * math.sinh(re.d2))
         t_max = re.period
-    # linspace(0, t_max, n_samples, endpoint=False), bit for bit
-    times = np.arange(n_samples) * (t_max / n_samples)
+    # linspace(0, t_max, _INTRINSIC_SAMPLES, endpoint=False), bit for bit
+    times = np.arange(_INTRINSIC_SAMPLES) * (t_max / _INTRINSIC_SAMPLES)
     z = analytic_states(re, times)
 
     # columns: body 1, body 2; each looks along the geodesic at the other

@@ -101,12 +101,6 @@ class AlgebraElement:
     def __add__(self, other):
         return AlgebraElement(self.E + other.E, self.H + other.H, self.P + other.P)
 
-    def __sub__(self, other):
-        return AlgebraElement(self.E - other.E, self.H - other.H, self.P - other.P)
-
-    def __neg__(self):
-        return AlgebraElement(-self.E, -self.H, -self.P)
-
     def __mul__(self, t):
         return AlgebraElement(self.E * t, self.H * t, self.P * t)
 
@@ -148,17 +142,6 @@ class CoalgebraElement:
     def norm(self) -> float:
         m = self.matrix()
         return float(np.sqrt(np.sum(m * m)))
-
-    def __add__(self, other):
-        return CoalgebraElement(self.e + other.e, self.h + other.h, self.p + other.p)
-
-    def __sub__(self, other):
-        return CoalgebraElement(self.e - other.e, self.h - other.h, self.p - other.p)
-
-    def __mul__(self, t):
-        return CoalgebraElement(self.e * t, self.h * t, self.p * t)
-
-    __rmul__ = __mul__
 
 
 XI_E = AlgebraElement(1.0, 0.0, 0.0)  # rotation about (0, 1)

@@ -199,29 +199,6 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _TINY = 5e-324
 
 
-@dataclass(frozen=True)
-class _Pair:
-    """An embedded explicit Runge-Kutta pair as solve_ivp runs it.
-
-    A step takes ``n_stages`` calls of fun: stages 1 to n_stages - 1 and,
-    first same as last, stage ``n_stages``, which is fun at the new point;
-    row ``n_stages`` of ``a`` holds the weights of the solution, and rows
-    past it serve the dense output only. ``exponent`` is -1 / (order of the
-    error estimate + 1).
-    """
-
-    a: np.ndarray
-    c: np.ndarray
-    n_stages: int
-    exponent: float
-
-    def __post_init__(self):
-        # what each stage reads, ready for the hot loop: its weights as a
-        # contiguous row and its node as a float
-        object.__setattr__(self, "weights", tuple(row[:i].copy() for i, row in enumerate(self.a)))
-        object.__setattr__(self, "nodes", tuple(map(float, self.c)))
-
-
 def _from_sparse(rows, width):
     """An array built from rows given as {column: value}."""
     out = np.zeros((len(rows), width))
@@ -316,6 +293,14 @@ _DOP853_A = _from_sparse([
      8: 3.56727187455281109270669543021e-1, 12: -1.39902416515901462129418009734e-3,
      13: 2.9475147891527723389556272149, 14: -9.15095847217987001081870187138},
 ], 16)
+# a step takes _N_STAGES calls of fun, stages 1-12; the step controller's
+# exponent is -1 / (order of the error estimate + 1)
+_N_STAGES = 12
+_EXPONENT = -1 / 8
+# what each stage reads, ready for the hot loop: its weights as a
+# contiguous row and its node as a float
+_DOP853_WEIGHTS = tuple(row[:i].copy() for i, row in enumerate(_DOP853_A))
+_DOP853_NODES = tuple(map(float, _DOP853_C))
 # the error estimators act on stages 0-12: E5 of order 5, and E3 = B minus
 # the third-order weights
 _DOP853_E5 = _from_sparse([{
@@ -385,8 +370,8 @@ def _lone_step(fun, t, y, f, h, rtol, atol):
     stages[0], stages[1] = y, f
     hw = _LONE_A * h
     hw[:, 0] = 1.0
-    nodes = _DOP853.nodes
-    for i in range(1, _DOP853.n_stages + 1):
+    nodes = _DOP853_NODES
+    for i in range(1, _N_STAGES + 1):
         y_new = np.dot(hw[i], stages)
         stages[i + 1] = fun(t + nodes[i] * h, y_new)
     e = np.dot(_LONE_E, stages) / _scale(y, y_new, rtol, atol)
@@ -409,14 +394,6 @@ def _interpolant(t_old, h, y_old, y, ks):
         return p + y_old
 
     return sol
-
-
-_DOP853 = _Pair(
-    a=_DOP853_A,
-    c=_DOP853_C,
-    n_stages=12,
-    exponent=-1 / 8,
-)
 
 
 @dataclass
@@ -448,28 +425,28 @@ class OdeResult:
     nfev: int
 
 
-def _fill(pair, fun, t, y, h, ks, rows):
+def _fill(fun, t, y, h, ks, rows):
     """Fill the given rows of ks, the C-contiguous stage array of shape
-    (len(pair.a),) + y.shape of a step of size h from (t, y), with one call
-    of fun each, and return the state of the last call."""
+    (16,) + y.shape of a step of size h from (t, y), with one call of fun
+    each, and return the state of the last call."""
     flat = ks.reshape(len(ks), -1)  # a view, so it sees each row filled
-    weights, nodes, shape = pair.weights, pair.nodes, y.shape
+    weights, nodes, shape = _DOP853_WEIGHTS, _DOP853_NODES, y.shape
     for i in rows:
         arg = y + np.dot(weights[i], flat[:i]).reshape(shape) * h
         ks[i] = fun(t + nodes[i] * h, arg)
     return arg
 
 
-def _rk_step(pair, fun, t, y, f, h):
+def _rk_step(fun, t, y, f, h):
     """One step from (t, y) with f = fun(t, y): the new solution, which is
     the state of the last stage, and the stage array filled up to that
     stage, fun at the new point."""
-    ks = np.empty((len(pair.a),) + y.shape)
+    ks = np.empty((len(_DOP853_A),) + y.shape)
     ks[0] = f
-    return _fill(pair, fun, t, y, h, ks, range(1, pair.n_stages + 1)), ks
+    return _fill(fun, t, y, h, ks, range(1, _N_STAGES + 1)), ks
 
 
-def _initial_step(pair, fun, t0, y0, f0, interval, rtol, atol):
+def _initial_step(fun, t0, y0, f0, interval, rtol, atol):
     """Starting step per column (Hairer, Norsett & Wanner, Solving ODEs I,
     sec. II.4); one call of fun."""
     scale = atol + np.abs(y0) * rtol
@@ -480,7 +457,7 @@ def _initial_step(pair, fun, t0, y0, f0, interval, rtol, atol):
         h1 = np.where(
             (d1 <= 1e-15) & (d2 <= 1e-15),
             np.maximum(1e-6, h0 * 1e-3),
-            np.power(0.01 / np.maximum(d1, d2), -pair.exponent),
+            np.power(0.01 / np.maximum(d1, d2), -_EXPONENT),
         )
     return np.minimum(np.minimum(100 * h0, h1), interval)
 
@@ -605,7 +582,7 @@ def _solve_sampled(fun, t, t_bound, y, rtol, atol, t_eval, events):
     """DOP853 on one trajectory, each step clipped to end on the next
     sample time of t_eval, so that every sample is a step's end point."""
     f = fun(t, y)
-    h_abs = float(_initial_step(_DOP853, fun, t, y, f, t_bound - t, rtol, atol))
+    h_abs = float(_initial_step(fun, t, y, f, t_bound - t, rtol, atol))
     nfev, accepted, rejected, dense = 2, 0, 0, 0
     h_min, h_max = math.inf, 0.0
     g = [ev(t, y) for ev in events]
@@ -631,14 +608,14 @@ def _solve_sampled(fun, t, t_bound, y, rtol, atol, t_eval, events):
             t_new = min(t + h_abs, t_stop)
             h = t_new - t
             y_new, stages, err = _lone_step(fun, t, y, f, h, rtol, atol)
-            nfev += _DOP853.n_stages
+            nfev += _N_STAGES
             if err < 1:
-                factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err ** _DOP853.exponent)
+                factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT)
                 proposal = h * (min(1.0, factor) if step_rejected else factor)
                 # a step clipped onto a sample leaves the planned step as it was
                 h_abs = max(proposal, h_abs) if t_new == t_stop else proposal
                 break
-            h_abs = h * max(_MIN_FACTOR, _SAFETY * err ** _DOP853.exponent)
+            h_abs = h * max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
             step_rejected = True
             rejected += 1
         else:
@@ -647,14 +624,14 @@ def _solve_sampled(fun, t, t_bound, y, rtol, atol, t_eval, events):
         accepted += 1
         h_min, h_max = min(h_min, h), max(h_max, h)
         t_old, y_old, ks = t, y, stages[1:]
-        t, y, f = t_new, y_new, ks[_DOP853.n_stages]
+        t, y, f = t_new, y_new, ks[_N_STAGES]
         t_out = t
         if t >= t_bound:
             status = 0
         if events:
             g_new = [ev(t, y) for ev in events]
             if any(_crossed(a, b, getattr(ev, "direction", 0)) for a, b, ev in zip(g, g_new, events)):
-                _fill(_DOP853, fun, t_old, y_old, h, ks, _EXTRA)
+                _fill(fun, t_old, y_old, h, ks, _EXTRA)
                 nfev += len(_EXTRA)
                 dense += 1
                 sol = _interpolant(t_old, h, y_old, y, ks)
@@ -694,12 +671,13 @@ def _solve_batch(fun, t0, t_bound, y, rtol, atol, events):
     rows = np.arange(size)  # batch row of each working column
     t = np.full(size, t0)
     f = fun(t, y)
-    h_abs = _initial_step(_DOP853, fun, t, y, f, t_bound - t0, rtol, atol)
+    h_abs = _initial_step(fun, t, y, f, t_bound - t0, rtol, atol)
     nfev = 2
     fresh = np.ones(size, dtype=bool)  # the next attempt starts a new step
     accepted, rejected, dense = (np.zeros(size, dtype=int) for _ in range(3))
     h_min, h_max = np.full(size, np.inf), np.zeros(size)
     status = [None] * size
+    nan_step = [False] * size
     g = [ev(t, y) for ev in events]
     t_events = [[[] for _ in events] for _ in range(size)]
     y_events = [[[] for _ in events] for _ in range(size)]
@@ -712,17 +690,18 @@ def _solve_batch(fun, t0, t_bound, y, rtol, atol, events):
             if failed.any():
                 for j in np.flatnonzero(failed):
                     status[rows[j]] = -1
+                    nan_step[rows[j]] = math.isnan(h_abs[j])
                 rows, t, y, f, h_abs, fresh, *g = (
                     a[..., ~failed] for a in (rows, t, y, f, h_abs, fresh, *g)
                 )
                 continue
             t_new = np.minimum(t + h_abs, t_bound)
             h = t_new - t
-            y_new, ks = _rk_step(_DOP853, fun, t, y, f, h)
-            nfev += _DOP853.n_stages
+            y_new, ks = _rk_step(fun, t, y, f, h)
+            nfev += _N_STAGES
             err = _dop853_error_norm(y, y_new, ks, h, rtol, atol)
             ok = err < 1
-            factor = _SAFETY * np.power(err, _DOP853.exponent)
+            factor = _SAFETY * np.power(err, _EXPONENT)
             grow = np.minimum(_MAX_FACTOR, factor)
             h_abs = h * np.where(
                 ok, np.where(fresh, grow, np.minimum(1.0, grow)), np.fmax(_MIN_FACTOR, factor)
@@ -735,7 +714,7 @@ def _solve_batch(fun, t0, t_bound, y, rtol, atol, events):
             h_min[rows[ok]] = np.minimum(h_min[rows[ok]], h[ok])
             h_max[rows[ok]] = np.maximum(h_max[rows[ok]], h[ok])
             t_old, y_old = t, y
-            t, y, f = np.where(ok, t_new, t), np.where(ok, y_new, y), np.where(ok, ks[_DOP853.n_stages], f)
+            t, y, f = np.where(ok, t_new, t), np.where(ok, y_new, y), np.where(ok, ks[_N_STAGES], f)
             done = ok & (t_new >= t_bound)
             if events:
                 g_new = [ev(t_new, y_new) for ev in events]
@@ -746,7 +725,7 @@ def _solve_batch(fun, t0, t_bound, y, rtol, atol, events):
                 if cols.size:
                     # the extra stages of every row that hit, in one pass
                     stages = np.ascontiguousarray(ks[..., cols])
-                    _fill(_DOP853, fun, t_old[cols], y_old[:, cols], h[cols], stages, _EXTRA)
+                    _fill(fun, t_old[cols], y_old[:, cols], h[cols], stages, _EXTRA)
                     nfev += len(_EXTRA)
                     dense[rows[cols]] += 1
                 for c, j in enumerate(cols):
@@ -784,7 +763,9 @@ def _solve_batch(fun, t0, t_bound, y, rtol, atol, events):
         y_events=[[np.array(ye) for ye in row] for row in y_events],
         status=status,
         # a row that underflows fails at the time of its last step
-        message=[_message(s, times[b - 1]) for s, (_, b) in zip(status, spans)],
+        message=[
+            _message(s, times[b - 1], nan) for s, (_, b), nan in zip(status, spans, nan_step)
+        ],
         accepted=accepted.tolist(),
         rejected=rejected.tolist(),
         dense=dense.tolist(),

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, scenario validation, exit codes."""
 
+import argparse
 import json
 import math
 import os
@@ -19,7 +20,7 @@ from h2body import (
     partner_distance,
     read_trajectory_csv,
 )
-from h2body.cli import main
+from h2body.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -437,36 +438,18 @@ class TestSimulateCommand:
         rec = read_trajectory_csv(outdir / "trajectory.csv")
         assert rec.distance[-1] == pytest.approx(1e-8, rel=1e-2, abs=0.0)
 
-    def test_rel_tol_override_loosens_drift(self, capsys, tmp_path):
+    def test_rel_tol_loosens_drift(self, capsys, tmp_path):
         # one sample a period, so that the tolerance bounds the step (on a
         # grid finer than the step both tolerances give the same steps)
         re = build_relative_equilibrium(Family.ELLIPTIC, 0.5, 0.5, Params(1.0, 1.0, 1.0))
-        scenario, _ = simulate_scenario(
-            tmp_path, integrator={"t_end": 10.0 * re.period, "sample_dt": re.period}
-        )
-        tight_dir, loose_dir = tmp_path / "tight", tmp_path / "loose"
-        assert (
-            run(capsys, "simulate", "--scenario", scenario, "--out", str(tight_dir))[0]
-            == 0
-        )
-        assert (
-            run(
-                capsys,
-                "simulate",
-                "--scenario",
-                scenario,
-                "--out",
-                str(loose_dir),
-                "--rel-tol",
-                "1e-5",
-                "--abs-tol",
-                "1e-8",
-            )[0]
-            == 0
-        )
-        tight = json.loads((tight_dir / "conservation.json").read_text())
-        loose = json.loads((loose_dir / "conservation.json").read_text())
-        assert loose["drift"]["energy"] > 10.0 * tight["drift"]["energy"]
+        grid = {"t_end": 10.0 * re.period, "sample_dt": re.period}
+        drift = {}
+        for name, tolerances in (("tight", {}), ("loose", {"rel_tol": 1e-5, "abs_tol": 1e-8})):
+            scenario, _ = simulate_scenario(tmp_path, integrator={**grid, **tolerances})
+            outdir = tmp_path / name
+            assert run(capsys, "simulate", "--scenario", scenario, "--out", str(outdir))[0] == 0
+            drift[name] = json.loads((outdir / "conservation.json").read_text())["drift"]
+        assert drift["loose"]["energy"] > 10.0 * drift["tight"]["energy"]
 
     @pytest.mark.parametrize(
         "command, section, key",
@@ -653,6 +636,44 @@ def test_non_finite_mass_or_coupling_flag_exits_2(capsys, command, flag, value):
     assert err == f"error: {flag} must be positive and finite, got {float(value)!r}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        f"equilibrium {family} {d1} --k {k}"
+        for family in ("elliptic", "hyperbolic")
+        for d1, k in ((5, "1e-320"), (5, "5e-324"), (18, "1e-320"), (18, "5e-324"),
+                      (18, "1e-310"), (18, "1e-300"))
+    ] + [
+        "equilibrium elliptic 1e-3 --m1 1e-320",
+        "equilibrium hyperbolic 1e-3 --m1 1e-320",
+        "stability 1e-3 --m1 1e-320",
+    ],
+)
+def test_rate_that_underflows_exits_2(capsys, argv):
+    # omega^2, or its denominator sinh(d)^2 sinh(2 d2), underflows to 0
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: the rate is out of range: ")
+
+
+@pytest.mark.parametrize("command", ["threshold-curve", "simulate"])
+def test_input_too_large_for_memory_exits_2(capsys, tmp_path, command):
+    # 1e17 float64 values are 711 PiB, more than a 64-bit address space
+    # holds, so the allocation fails at once whatever the overcommit policy
+    if command == "threshold-curve":
+        argv = ("threshold-curve", "0.5", "2", str(10**17))
+    else:
+        scenario, _ = simulate_scenario(tmp_path, integrator={"t_end": 1e17, "sample_dt": 1.0})
+        argv = ("simulate", "--scenario", scenario, "--out", str(tmp_path / "out"))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: out of memory: ")
+
+
 def _src_env():
     """The environment with this checkout's src/ first on PYTHONPATH."""
     src = str(Path(h2body.__file__).resolve().parents[1])
@@ -662,7 +683,7 @@ def _src_env():
 
 
 def _non_finite_case(tmp_path, case):
-    """Scenario path and extra flags for one invalid-number case."""
+    """Command and scenario path for one invalid-number case."""
     if case.startswith("perturb"):
         doc = json.loads(Path(TestPerturbCommand._scenario(tmp_path)).read_text())
         if case == "perturb-horizon-inf":
@@ -670,9 +691,8 @@ def _non_finite_case(tmp_path, case):
             doc["protocol"]["horizon"] = math.inf
         else:
             doc["integrator"] = {"rel_tol": 1e-15}
-        return "perturb", write_json(tmp_path / "p.json", doc), []
+        return "perturb", write_json(tmp_path / "p.json", doc)
     doc = json.loads(Path(simulate_scenario(tmp_path)[0]).read_text())
-    flags = []
     if case == "simulate-rel_tol-inf":
         doc["integrator"]["rel_tol"] = math.inf
     elif case == "simulate-k-inf":
@@ -685,9 +705,7 @@ def _non_finite_case(tmp_path, case):
         doc["integrator"]["rel_tol"] = 2e-14
     elif case == "simulate-sample-count-overflow":
         doc["integrator"].update(t_end=1e300, sample_dt=1e-300)
-    else:
-        flags = ["--rel-tol", "inf"]
-    return "simulate", write_json(tmp_path / "s.json", doc), flags
+    return "simulate", write_json(tmp_path / "s.json", doc)
 
 
 @pytest.mark.parametrize(
@@ -699,7 +717,6 @@ def _non_finite_case(tmp_path, case):
         "simulate-t_end-huge-int",
         "simulate-rel_tol-below-floor",
         "simulate-sample-count-overflow",
-        "simulate-rel-tol-flag-inf",
         "perturb-horizon-inf",
         "perturb-rel_tol-below-floor",
     ],
@@ -707,8 +724,8 @@ def _non_finite_case(tmp_path, case):
 def test_non_finite_or_sub_floor_numbers_exit_2(tmp_path, case):
     # JSON admits NaN and Infinity; each must be refused up front, in a
     # fresh process that would otherwise run without end or crash
-    command, scenario, flags = _non_finite_case(tmp_path, case)
-    argv = [command, "--scenario", scenario, *flags]
+    command, scenario = _non_finite_case(tmp_path, case)
+    argv = [command, "--scenario", scenario]
     if command == "simulate":
         argv += ["--out", str(tmp_path / "out")]
     proc = subprocess.run(
@@ -834,24 +851,6 @@ class TestParserReuse:
             seeds.append(json.loads(out)["protocol"]["seed"])
         assert seeds == [5, 7]  # 7 is the scenario's own seed
 
-    def test_tolerance_override_does_not_stick(self, capsys, tmp_path, monkeypatch):
-        import h2body.cli as cli_mod
-        from h2body.sim import IntegratorConfig
-
-        configs = []
-        exact = cli_mod.integrate
-
-        def recording(state, params, config):
-            configs.append(config)
-            return exact(state, params, config)
-
-        monkeypatch.setattr(cli_mod, "integrate", recording)
-        scenario, _ = simulate_scenario(tmp_path)
-        for name, extra in (("loose", ("--rel-tol", "1e-8")), ("default", ())):
-            argv = ("simulate", "--scenario", scenario, "--out", str(tmp_path / name))
-            assert run(capsys, *argv, *extra)[0] == 0
-        assert [c.rel_tol for c in configs] == [1e-8, IntegratorConfig(t_end=1.0).rel_tol]
-
     def test_valid_call_after_a_rejected_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["equilibrium", "elliptic", "abc"])
@@ -862,8 +861,6 @@ class TestParserReuse:
         assert json.loads(out)["d1"] == 0.5
 
     def test_no_parser_built_after_the_first_call(self, capsys, monkeypatch):
-        import argparse
-
         import h2body.cli as cli_mod
 
         run(capsys, "stability", "0.4")
@@ -1035,3 +1032,18 @@ def test_readme_scenario_examples_run(capsys, tmp_path):
         out = ["--out", str(tmp_path / "out")] if mode == "simulate" else []
         code, _, err = run(capsys, mode, "--scenario", str(scenario), *out)
         assert code == 0, err
+
+
+def test_readme_names_every_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    missing = [
+        (name, opt)
+        for name, sub in commands.items()
+        for action in sub._actions
+        for opt in action.option_strings
+        if opt.startswith("--") and opt not in readme
+    ]
+    assert missing == []

@@ -477,7 +477,7 @@ class TestIntrinsicChecks:
     def test_velocities_normal_to_chord(self, rng):
         # spot check the perpendicularity residual the report aggregates
         re = random_balanced_re(rng, Family.ELLIPTIC)
-        rep = intrinsic_checks(re, n_samples=8)
+        rep = intrinsic_checks(re)
         assert rep.max_perp_residual < 1e-10
 
     @pytest.mark.parametrize("family", [Family.ELLIPTIC, Family.HYPERBOLIC])

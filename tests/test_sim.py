@@ -432,9 +432,9 @@ class TestEngine:
     def test_dop853_tableau_matches_scipy(self):
         from scipy.integrate._ivp import dop853_coefficients as ref
 
-        pair = sim_mod._DOP853
-        np.testing.assert_array_equal(pair.a, ref.A)
-        np.testing.assert_array_equal(pair.c, ref.C)
+        a, c = sim_mod._DOP853_A, sim_mod._DOP853_C
+        np.testing.assert_array_equal(a, ref.A)
+        np.testing.assert_array_equal(c, ref.C)
         np.testing.assert_array_equal(sim_mod._DOP853_E3, ref.E3)
         np.testing.assert_array_equal(sim_mod._DOP853_E5, ref.E5)
         np.testing.assert_array_equal(sim_mod._DOP853_D, ref.D)
@@ -445,8 +445,8 @@ class TestEngine:
         np.testing.assert_array_equal(sim_mod._LONE_E[:, 1:14], [ref.E5, ref.E3])
         np.testing.assert_array_equal(sim_mod._LONE_E[:, [0, 14, 15, 16]], 0.0)
         # consistency: each stage's weights sum to its node, the solution's to 1
-        np.testing.assert_allclose(pair.a.sum(axis=1), pair.c, rtol=0.0, atol=4e-15)
-        assert pair.a[pair.n_stages].sum() == pytest.approx(1.0, rel=0.0, abs=1e-15)
+        np.testing.assert_allclose(a.sum(axis=1), c, rtol=0.0, atol=4e-15)
+        assert a[sim_mod._N_STAGES].sum() == pytest.approx(1.0, rel=0.0, abs=1e-15)
 
     def test_unsampled_trajectory_matches_scipy_dop853_over_100_periods(self):
         re = _equal_mass_elliptic()
@@ -587,6 +587,19 @@ class TestEngine:
         assert ours.t[-1] == pytest.approx(ref.t[-1], rel=0.0, abs=1e-12)
         assert ours.t[-1] - 1.0 == pytest.approx(8.2e-12, rel=0.05, abs=0.0)
         assert ours.nfev == ref.nfev
+
+    @pytest.mark.parametrize("t_eval", [None, [0.0, 1.0]], ids=["batch", "sampled"])
+    def test_nan_step_is_named(self, t_eval):
+        # the field overflows the error scale, so the starting step is NaN
+        def huge(t, y):
+            return np.full_like(y, 1e300)
+
+        sol = sim_mod.solve_ivp(huge, (0.0, 1.0), np.array([1.0]), rtol=1e-10, atol=1e-12,
+                                t_eval=t_eval)
+        assert sol.status == -1
+        assert sol.message == (
+            "step size underflow at t = 0.0: "
+            "the step size is not a number (the field overflows the error scale)")
 
     def test_rejects_bad_input(self):
         rhs = _rhs(Params(1.0, 1.0))
