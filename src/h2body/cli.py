@@ -34,7 +34,7 @@ from .errors import (
     OracleMismatch,
     ScenarioError,
 )
-from .dynamics import Params, momentum_map, phase_state
+from .dynamics import Params, locked_inertia, momentum_map, phase_state
 from .equilibria import (
     Family,
     build_relative_equilibrium,
@@ -45,6 +45,7 @@ from .equilibria import (
 from .stability import (
     classify_stability,
     internal_block_oracle,
+    internal_correction,
     internal_membership,
     intrinsic_stability_bound,
     rig_block_oracle,
@@ -145,11 +146,12 @@ def _parse_params(scenario) -> Params:
     )
 
 
-def _parse_integrator(obj, path) -> IntegratorConfig:
-    keys = ("t_end", "rel_tol", "abs_tol", "sample_dt")
-    _check_keys(obj, path, ("t_end",), keys)
-    kwargs = {key: _num(obj, path, key, positive=True) for key in keys if key in obj}
-    return IntegratorConfig(**kwargs)
+def _positive_numbers(scenario, block, required, optional) -> dict:
+    """Check the keys of scenario[block] and read each as a positive number."""
+    obj = scenario[block]
+    _check_keys(obj, block, required, optional)
+    keys = (*required, *optional)
+    return {key: _num(obj, block, key, positive=True) for key in keys if key in obj}
 
 
 # -- subcommands ---------------------------------------------------------
@@ -166,7 +168,8 @@ def cmd_simulate(args) -> int:
         state = phase_state(*coords)
     except (ValueError, H2BodyError) as exc:
         raise ScenarioError(f"invalid initial state: {exc}") from exc
-    config = _parse_integrator(scenario["integrator"], "integrator")
+    optional = ("rel_tol", "abs_tol", "sample_dt")
+    config = IntegratorConfig(**_positive_numbers(scenario, "integrator", ("t_end",), optional))
 
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "trajectory.csv")
@@ -246,11 +249,14 @@ def cmd_stability(args) -> int:
     params = Params(args.m1, args.m2, args.k)
     re = _build_re(Family.ELLIPTIC, args.d1, params, 1)
     report = classify_stability(re)
+    # shared by the oracles; kept out of classify_stability, which equilibrium calls too
+    ii = locked_inertia(re.config, re.params)
+    correction, eta = internal_correction(re, ii)
     ar = report.rig
-    ar_oracle = rig_block_oracle(re)
+    ar_oracle = rig_block_oracle(re, ii)
     ar_err = float(np.max(np.abs(ar - ar_oracle)))
     inner = report.internal
-    inner_oracle = internal_block_oracle(re)
+    inner_oracle = internal_block_oracle(re, correction)
     inner_err = abs(inner - inner_oracle) / max(abs(inner), 1e-300)
     ar_ok = ar_err <= _AR_ORACLE_TOL * max(1.0, float(np.max(np.abs(ar))))
     inner_ok = inner_err <= _INTERNAL_ORACLE_TOL
@@ -269,7 +275,7 @@ def cmd_stability(args) -> int:
         "internal_closed": inner,
         "internal_oracle": inner_oracle,
         "internal_rel_error": inner_err,
-        "membership": internal_membership(re),
+        "membership": internal_membership(re.family, eta),
         "threshold_d1": curve.d1,
         "intrinsic_bound_stable": intrinsic_stability_bound(re.d1, c),
         "oracles_agree": bool(ar_ok and inner_ok),
@@ -347,11 +353,10 @@ def cmd_perturb(args) -> int:
 
     kwargs = {}
     if "integrator" in scenario:
-        _check_keys(scenario["integrator"], "integrator", (), ("rel_tol", "abs_tol"))
-        for key in ("rel_tol", "abs_tol"):
-            if key in scenario["integrator"]:
-                kwargs[key] = _num(scenario["integrator"], "integrator", key, positive=True)
+        kwargs = _positive_numbers(scenario, "integrator", (), ("rel_tol", "abs_tol"))
     seed = args.seed if args.seed is not None else _intval(proto, "protocol", "seed", 0)
+    if seed < 0:  # _intval holds the scenario's seed to 0 and up, so this is --seed
+        raise ScenarioError(f"--seed must be at least 0, got {seed}")
     experiment = PerturbationExperiment(
         base=re,
         scale=_num(proto, "protocol", "scale", positive=True),

@@ -170,12 +170,6 @@ def potential(config: Configuration, params: Params) -> float:
     return float(_potential(*config.coords(), params))
 
 
-def potential_gradient(config: Configuration, params: Params) -> np.ndarray:
-    """Chart gradient of the potential, ordered (x1, y1, x2, y2)."""
-    kmm = params.k * params.m1 * params.m2
-    return np.array(_potential_gradient(*config.coords(), kmm))
-
-
 # -- energy and equations of motion --------------------------------------
 
 def kinetic_energy(state: PhaseState, params: Params) -> float:
@@ -293,21 +287,6 @@ def momentum_at_canonical(
 
 # -- locked inertia and augmented potential ------------------------------
 
-@dataclass(frozen=True)
-class LockedInertia:
-    """Locked inertia tensor as a symmetric 3x3 matrix on algebra
-    coordinates, index order (E, H, P)."""
-
-    m: np.ndarray
-
-    def inverse_apply(self, mu: CoalgebraElement, *more: CoalgebraElement):
-        """II^{-1} mu; given more right-hand sides, the list of II^{-1} of
-        each, from one solve."""
-        sol = np.linalg.solve(self.m, np.array([c.coords() for c in (mu, *more)]).T)
-        out = [AlgebraElement(*col) for col in sol.T.tolist()]
-        return out if more else out[0]
-
-
 def _body_inertia(x, y, m):
     """One body's share of the locked inertia, entries (11, 22, 33, 12, 13,
     23): m <xi_i, xi_j> in the hyperbolic metric at (x, y)."""
@@ -358,14 +337,14 @@ def _augmented_potential_gradient(x1, y1, x2, y2, params, xi):
     return gx1 - rx1, gy1 - ry1, gx2 - rx2, gy2 - ry2
 
 
-def locked_inertia(config: Configuration, params: Params) -> LockedInertia:
-    """Kinetic-metric Gram matrix of the three generator fields.
+def locked_inertia(config: Configuration, params: Params) -> np.ndarray:
+    """Kinetic-metric Gram matrix of the three generator fields, a symmetric
+    3x3 array on algebra coordinates, index order (E, H, P).
 
     Entry (i, j) is sum_bodies m <xi_i at q, xi_j at q> in the hyperbolic
     metric; closed forms avoid assembling the generators.
     """
-    rows = _locked_inertia(*config.coords(), params.m1, params.m2)
-    return LockedInertia(np.array(rows))
+    return np.array(_locked_inertia(*config.coords(), params.m1, params.m2))
 
 
 def augmented_potential(

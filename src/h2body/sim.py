@@ -58,8 +58,8 @@ class Xoshiro256StarStar:
     """xoshiro256** with splitmix64 seeding.
 
     Small, fast, and fully specified here so that seeded experiments are
-    bit-reproducible across platforms and library versions. uniform() maps
-    the top 53 bits to [0, 1); normal() is Box-Muller on two uniforms.
+    bit-reproducible across platforms and library versions. normal() is
+    Box-Muller on two uniforms, each from the top 53 bits of a draw.
     """
 
     _MASK = (1 << 64) - 1
@@ -91,9 +91,6 @@ class Xoshiro256StarStar:
         s3 = self._rotl(s3, 45)
         self._s = [s0, s1, s2, s3]
         return result
-
-    def uniform(self) -> float:
-        return (self.next_u64() >> 11) * 2.0 ** -53
 
     def normal(self) -> float:
         # open-interval uniform keeps log() finite

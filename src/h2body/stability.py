@@ -33,7 +33,6 @@ from .dynamics import (
     _augmented_potential_gradient,
     _locked_inertia,
     legendre,
-    locked_inertia,
     momentum_map,
 )
 from .equilibria import Family, RelativeEquilibrium
@@ -125,18 +124,23 @@ def rig_block(re: RelativeEquilibrium) -> np.ndarray:
     )
 
 
-def rig_block_oracle(re: RelativeEquilibrium) -> np.ndarray:
-    """Rigid block assembled from its definition.
+def _inverse_apply(ii: np.ndarray, *mus: CoalgebraElement) -> list[AlgebraElement]:
+    """II^{-1} of each coalgebra element, from one solve."""
+    sol = np.linalg.solve(ii, np.array([c.coords() for c in mus]).T)
+    return [AlgebraElement(*col) for col in sol.T.tolist()]
+
+
+def rig_block_oracle(re: RelativeEquilibrium, ii: np.ndarray) -> np.ndarray:
+    """Rigid block assembled from its definition, on the locked inertia ii.
 
     Entry (i, j) pairs ad*_{lam_i} mu against the algebra correction
     II^{-1} ad*_{lam_j} mu + [lam_j, II^{-1} mu], with mu taken from the
     phase-space momentum map rather than any closed form.
     """
     mu = momentum_of(re)
-    ii = locked_inertia(re.config, re.params)
     lams = rig_basis(re.family)
     lhs = [ad_star(lam, mu) for lam in lams]
-    xi0, *inv_lhs = ii.inverse_apply(mu, *lhs)
+    xi0, *inv_lhs = _inverse_apply(ii, mu, *lhs)
     out = np.empty((2, 2))
     for j, lj in enumerate(lams):
         rhs = inv_lhs[j] + bracket(lj, xi0)
@@ -208,40 +212,39 @@ def _cs_derivative(f, q, w, *args):
     return np.imag(z) / _CS_STEP
 
 
-def _correction(re: RelativeEquilibrium, w: np.ndarray) -> tuple[float, AlgebraElement]:
-    """Momentum-constraint correction <(DII w) xi, II^{-1} (DII w) xi> and
-    the algebra element II^{-1} (DII w) xi it hinges on."""
+def internal_correction(re: RelativeEquilibrium, ii: np.ndarray) -> tuple[float, AlgebraElement]:
+    """Momentum-constraint correction <(DII w) xi, II^{-1} (DII w) xi> along
+    the internal direction w, on the locked inertia ii, and the algebra
+    element eta = II^{-1} (DII w) xi it hinges on."""
+    w = v_int_generator(re.family, re.d1, re.d2)
     q, p = re.config.coords(), re.params
     dii = _cs_derivative(_locked_inertia, q, w, p.m1, p.m2)
     mvec = dii @ re.xi.coords()
-    eta = locked_inertia(re.config, p).inverse_apply(CoalgebraElement(*mvec))
+    (eta,) = _inverse_apply(ii, CoalgebraElement(*mvec))
     return float(mvec @ eta.coords()), eta
 
 
-def internal_block_oracle(re: RelativeEquilibrium) -> float:
+def internal_block_oracle(re: RelativeEquilibrium, correction: float) -> float:
     """Internal block from the definitions, independent of the closed form.
 
     Second derivative of the augmented potential along the internal
     direction w, as w . (complex step of its chart gradient along w), plus
-    the locked-inertia correction term. The tests hold that gradient to the
-    complex step of the augmented potential itself."""
+    the correction of internal_correction. The tests hold that gradient to
+    the complex step of the augmented potential itself."""
     w = v_int_generator(re.family, re.d1, re.d2)
     q = re.config.coords()
     hess_w = _cs_derivative(_augmented_potential_gradient, q, w, re.params, re.xi)
-    corr, _ = _correction(re, w)
-    return float(w @ hess_w) + corr
+    return float(w @ hess_w) + correction
 
 
-def internal_membership(re: RelativeEquilibrium) -> dict:
-    """Check that the correction element lies in the momentum isotropy.
+def internal_membership(family: Family, eta: AlgebraElement) -> dict:
+    """Check that eta of internal_correction lies in the momentum isotropy.
 
     Returns the coordinates of II^{-1} (DII w) xi together with the norms
     of its isotropy component and of the complement; the complement should
     vanish, which is what makes the one-direction internal block complete.
     """
-    w = v_int_generator(re.family, re.d1, re.d2)
-    _, eta = _correction(re, w)
-    if re.family is Family.HYPERBOLIC:
+    if family is Family.HYPERBOLIC:
         member = abs(eta.H)
         complement = math.hypot(eta.E, eta.P)
     else:

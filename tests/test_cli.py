@@ -257,6 +257,33 @@ class TestStabilityCommand:
         assert doc["internal_rel_error"] < 1e-9
         assert doc["report"]["verdict"] == ("stable" if d1 == "0.01" else "unstable")
 
+    def test_oracles_share_one_locked_inertia(self, capsys, monkeypatch):
+        # the locked inertia is built once and the internal correction run
+        # once per call: one evaluation for the matrix, one complex step of
+        # it, one solve for the rig block and one for the correction
+        import numpy as np
+
+        import h2body.dynamics
+        import h2body.stability
+
+        counts = {"inertia": 0, "solve": 0}
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        inertia = counting("inertia", h2body.dynamics._locked_inertia)
+        monkeypatch.setattr(h2body.dynamics, "_locked_inertia", inertia)
+        monkeypatch.setattr(h2body.stability, "_locked_inertia", inertia)
+        monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
+        code, _, err = run(capsys, "stability", "0.4")
+        assert code == 0, err
+        assert counts["inertia"] <= 2
+        assert counts["solve"] <= 2
+
 
 def _key_paths(doc, prefix=""):
     """Every key of a JSON document as a dotted path, in document order."""
@@ -579,6 +606,15 @@ class TestPerturbCommand:
         )
         assert code == 0
         assert json.loads(out)["protocol"]["seed"] == 123
+
+    def test_negative_seed_override_exits_2(self, capsys, tmp_path):
+        # as a negative seed in the scenario does; mod 2^64, -1 would name
+        # the stream of 18446744073709551615
+        scenario = self._scenario(tmp_path)
+        code, out, err = run(capsys, "perturb", "--scenario", scenario, "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --seed must be at least 0, got -1\n"
 
     def test_horizon_exclusivity(self, capsys, tmp_path):
         scenario = self._scenario(tmp_path, horizon=5.0)
@@ -918,7 +954,7 @@ class TestErrorPlumbing:
     def test_oracle_mismatch_exits_5(self, capsys, monkeypatch):
         import h2body.cli as cli_mod
 
-        monkeypatch.setattr(cli_mod, "internal_block_oracle", lambda re: 1e6)
+        monkeypatch.setattr(cli_mod, "internal_block_oracle", lambda re, correction: 1e6)
         code, out, err = run(capsys, "stability", "0.4")
         assert code == 5
         assert "oracle mismatch" in err

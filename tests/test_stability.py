@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from h2body import (
+    AlgebraElement,
     Family,
     NonPositiveDistance,
     OutOfRange,
@@ -22,6 +23,7 @@ from h2body import (
     classify_stability,
     internal_block,
     internal_block_oracle,
+    internal_correction,
     internal_membership,
     intrinsic_stability_bound,
     locked_inertia,
@@ -52,6 +54,15 @@ def _elliptic_re(u, c, m2=1.0, k=1.0, sign=1):
 
 
 RATIOS = (1e-2, 0.3, 1.0, 3.0, 1e2)
+
+
+def _rig_oracle(re):
+    return rig_block_oracle(re, locked_inertia(re.config, re.params))
+
+
+def _internal_oracle(re):
+    correction, _ = internal_correction(re, locked_inertia(re.config, re.params))
+    return internal_block_oracle(re, correction)
 
 
 def _domain_grid(d1s, ratios):
@@ -141,7 +152,7 @@ class TestRigBlock:
             family = Family.HYPERBOLIC if rng.random() < 0.5 else Family.ELLIPTIC
             re = random_balanced_re(rng, family)
             a = rig_block(re)
-            b = rig_block_oracle(re)
+            b = _rig_oracle(re)
             scale = max(1.0, float(np.max(np.abs(a))))
             assert np.allclose(a, b, atol=1e-9 * scale)
 
@@ -151,13 +162,17 @@ class TestRigBlock:
         def entrywise(re):
             mu = momentum_of(re)
             ii = locked_inertia(re.config, re.params)
-            xi0 = ii.inverse_apply(mu)
+
+            def inverse(m):
+                return AlgebraElement(*np.linalg.solve(ii, m.coords()))
+
+            xi0 = inverse(mu)
             lams = rig_basis(re.family)
             out = np.empty((2, 2))
             for i, li in enumerate(lams):
                 lhs = ad_star(li, mu)
                 for j, lj in enumerate(lams):
-                    rhs = ii.inverse_apply(ad_star(lj, mu)) + bracket(lj, xi0)
+                    rhs = inverse(ad_star(lj, mu)) + bracket(lj, xi0)
                     out[i, j] = lhs.pair(rhs)
             return out
 
@@ -166,7 +181,7 @@ class TestRigBlock:
             re = _re_on_grid(family, d1, c, d2)
             ref = entrywise(re)
             scale = float(np.max(np.abs(ref)))
-            err = float(np.max(np.abs(rig_block_oracle(re) - ref)))
+            err = float(np.max(np.abs(_rig_oracle(re) - ref)))
             assert err <= 1e-14 * scale, (family, d1, c, err / scale)
             checked += 1
         assert checked >= 170
@@ -243,7 +258,7 @@ class TestInternalBlock:
             band = 1e-6 * re.params.m2 ** 2 * re.params.k
             if abs(closed) < band:
                 continue  # a vanishing block has no relative error to check
-            oracle = internal_block_oracle(re)
+            oracle = _internal_oracle(re)
             assert oracle == pytest.approx(closed, rel=1e-5)
             checked += 1
 
@@ -253,7 +268,7 @@ class TestInternalBlock:
         for family, d1, c, d2 in _domain_grid(np.geomspace(0.01, 6.0, 25), RATIOS):
             re = _re_on_grid(family, d1, c, d2)
             closed = internal_block(re)
-            oracle = internal_block_oracle(re)
+            oracle = _internal_oracle(re)
             assert oracle == pytest.approx(closed, rel=1e-8, abs=0.0), (family, d1, c)
 
     def test_hyperbolic_always_negative(self, rng):
@@ -283,7 +298,8 @@ class TestInternalBlock:
         for _ in range(30):
             family = Family.HYPERBOLIC if rng.random() < 0.5 else Family.ELLIPTIC
             re = random_balanced_re(rng, family)
-            rep = internal_membership(re)
+            _, eta = internal_correction(re, locked_inertia(re.config, re.params))
+            rep = internal_membership(re.family, eta)
             assert rep["complement_norm"] < 1e-7 * max(1.0, rep["member_norm"])
 
     def test_inertia_derivative_is_symmetric_fd(self, rng):
