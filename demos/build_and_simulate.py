@@ -11,20 +11,19 @@ import math
 
 import numpy as np
 
-from h2body import Family, Params, build_relative_equilibrium, partner_distance
+from h2body import Family, Params, build_relative_equilibrium
 from h2body.equilibria import analytic_trajectory, initial_state, intrinsic_checks
 from h2body.sim import IntegratorConfig, conservation_report, integrate
 
 params = Params(m1=2.0, m2=1.0, k=1.0)
 d1 = 0.45
-d2 = partner_distance(d1, params)
-print(f"masses 2:1, d1 = {d1}, balanced d2 = {d2:.6f}")
 
 ##########################
 # Elliptic: a closed orbit
 ##########################
 
-re = build_relative_equilibrium(Family.ELLIPTIC, d1, d2, params)
+re = build_relative_equilibrium(Family.ELLIPTIC, d1, params)
+print(f"masses 2:1, d1 = {d1}, balanced d2 = {re.d2:.6f}")
 print(f"\nelliptic:   omega = {re.omega:.6f}, period = {re.period:.6f}")
 print(f"  body 1 at ({re.config.q1.x:+.6f}, {re.config.q1.y:.6f})")
 print(f"  body 2 at ({re.config.q2.x:+.6f}, {re.config.q2.y:.6f})")
@@ -51,7 +50,7 @@ print(f"  max deviation from the closed-form trajectory: {worst:.2e}")
 # Hyperbolic: constant distance
 ###############################
 
-re_h = build_relative_equilibrium(Family.HYPERBOLIC, 1.1, partner_distance(1.1, params), params)
+re_h = build_relative_equilibrium(Family.HYPERBOLIC, 1.1, params)
 print(f"\nhyperbolic: omega = {re_h.omega:.6f} (no period; the motion never closes)")
 
 record_h = integrate(initial_state(re_h), params, IntegratorConfig(t_end=10.0))

@@ -9,7 +9,7 @@ grows until it crosses the escape cutoff.
 
 import math
 
-from h2body import Family, Params, build_relative_equilibrium, partner_distance
+from h2body import Family, Params, build_relative_equilibrium
 from h2body.sim import PerturbationExperiment, perturb_and_measure
 
 params = Params(1.0, 1.0, 1.0)
@@ -18,7 +18,7 @@ SEED = 7
 
 def run(u):
     d1 = math.atanh(u)
-    re = build_relative_equilibrium(Family.ELLIPTIC, d1, partner_distance(d1, params), params)
+    re = build_relative_equilibrium(Family.ELLIPTIC, d1, params)
     report = perturb_and_measure(
         PerturbationExperiment(
             base=re, scale=1e-4, n_trials=12, horizon=10.0 * re.period, seed=SEED

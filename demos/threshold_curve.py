@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from h2body import Family, Params, build_relative_equilibrium, partner_distance
+from h2body import Family, Params, build_relative_equilibrium
 from h2body.stability import classify_stability, internal_block, threshold
 
 #################
@@ -42,13 +42,13 @@ print("wrote threshold_curve.csv")
 params = Params(1.0, 1.0, 1.0)
 for u in (0.40, 0.55, 0.65, 0.80):
     d1 = math.atanh(u)
-    re = build_relative_equilibrium(Family.ELLIPTIC, d1, partner_distance(d1, params), params)
+    re = build_relative_equilibrium(Family.ELLIPTIC, d1, params)
     report = classify_stability(re)
     print(f"u = {u:.2f}  d1 = {d1:.4f}  internal block {internal_block(re):+.5f}"
           f"  -> {report.verdict.value}  signature {''.join(report.signature)}")
 
 # the hyperbolic family has no stable side at all
-re_h = build_relative_equilibrium(Family.HYPERBOLIC, 0.7, partner_distance(0.7, params), params)
+re_h = build_relative_equilibrium(Family.HYPERBOLIC, 0.7, params)
 report_h = classify_stability(re_h)
 print(f"\nhyperbolic d1 = 0.70 -> {report_h.verdict.value}  "
       f"signature {''.join(report_h.signature)} (internal direction always negative)")

@@ -12,9 +12,7 @@ from .errors import (
     CoincidentPoints,
     H2BodyError,
     IntegrationError,
-    MassDistanceMismatch,
     NonPositiveDistance,
-    NotCanonical,
     OracleMismatch,
     OutOfRange,
     ScenarioError,
@@ -64,7 +62,6 @@ from .dynamics import (
     kinetic_energy,
     legendre,
     locked_inertia,
-    momentum_at_canonical,
     momentum_map,
     phase_state,
     potential,
@@ -85,6 +82,7 @@ from .equilibria import (
     center_of_mass,
     initial_state,
     intrinsic_checks,
+    momentum_at_canonical,
     partner_distance,
     to_canonical,
 )

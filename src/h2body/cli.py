@@ -24,6 +24,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -40,7 +41,6 @@ from .equilibria import (
     build_relative_equilibrium,
     initial_state,
     intrinsic_checks,
-    partner_distance,
 )
 from .stability import (
     classify_stability,
@@ -196,15 +196,10 @@ def cmd_simulate(args) -> int:
     return code
 
 
-def _build_re(family: Family, d1: float, params: Params, sign: int):
-    d2 = partner_distance(d1, params)
-    return build_relative_equilibrium(family, d1, d2, params, sign=sign)
-
-
 def cmd_equilibrium(args) -> int:
     params = Params(args.m1, args.m2, args.k)
     family = Family(args.family)
-    re = _build_re(family, args.d1, params, args.sign)
+    re = build_relative_equilibrium(family, args.d1, params, args.sign)
     z0 = initial_state(re)
     mu = momentum_map(z0)
     report = classify_stability(re)
@@ -247,7 +242,7 @@ def cmd_equilibrium(args) -> int:
 
 def cmd_stability(args) -> int:
     params = Params(args.m1, args.m2, args.k)
-    re = _build_re(Family.ELLIPTIC, args.d1, params, 1)
+    re = build_relative_equilibrium(Family.ELLIPTIC, args.d1, params)
     report = classify_stability(re)
     # shared by the oracles; kept out of classify_stability, which equilibrium calls too
     ii = locked_inertia(re.config, re.params)
@@ -323,11 +318,12 @@ def cmd_perturb(args) -> int:
     if eq["family"] not in ("elliptic", "hyperbolic"):
         raise ScenarioError(f"unknown family {eq['family']!r}")
     sign = eq.get("sign", 1)
-    if sign not in (-1, 1):
+    if type(sign) is not int or sign not in (-1, 1):  # neither true nor -1.0
         raise ScenarioError("equilibrium.sign must be +1 or -1")
     family = Family(eq["family"])
     try:
-        re = _build_re(family, _num(eq, "equilibrium", "d1", positive=True), params, sign)
+        d1 = _num(eq, "equilibrium", "d1", positive=True)
+        re = build_relative_equilibrium(family, d1, params, sign)
     except OracleMismatch:
         raise
     except (ValueError, H2BodyError) as exc:
@@ -357,6 +353,9 @@ def cmd_perturb(args) -> int:
     seed = args.seed if args.seed is not None else _intval(proto, "protocol", "seed", 0)
     if seed < 0:  # _intval holds the scenario's seed to 0 and up, so this is --seed
         raise ScenarioError(f"--seed must be at least 0, got {seed}")
+    if seed >= 2**64:  # the generator reads the seed mod 2^64, so it would alias one below
+        name = "--seed" if args.seed is not None else "protocol.seed"
+        raise ScenarioError(f"{name} must be below 2**64, got {seed}")
     experiment = PerturbationExperiment(
         base=re,
         scale=_num(proto, "protocol", "scale", positive=True),
@@ -424,22 +423,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except OracleMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except (ScenarioError, H2BodyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        # scenario reads raise ScenarioError, so this is an output path
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:
-        # an input that asks for more samples or points than memory holds
-        print(f"error: out of memory: {exc}", file=sys.stderr)
-        return 2
+    # warnings are held until the call ends, so that a failed call prints its
+    # one error: line alone, while a call that succeeds still shows them
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code = args.func(args)
+        except OracleMismatch as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 5
+        except (ScenarioError, H2BodyError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+        except OSError as exc:
+            # scenario reads raise ScenarioError, so this is an output path
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            code = 2
+        except MemoryError as exc:
+            # an input that asks for more samples or points than memory holds
+            print(f"error: out of memory: {exc}", file=sys.stderr)
+            code = 2
+    if code == 0:
+        for w in caught:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+    return code
 
 
 if __name__ == "__main__":

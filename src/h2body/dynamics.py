@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Collision, NotCanonical
-from .geom import Point, TangentVector, _tanh_sech, hyperbolic_distance
+from .errors import Collision
+from .geom import Point, TangentVector, hyperbolic_distance
 from .liegroup import (
     AlgebraElement,
     CoalgebraElement,
@@ -26,8 +26,6 @@ from .liegroup import (
 
 # separations at or below this are treated as collision
 COLLISION_EPSILON = 1e-8
-# relative slack for the canonical mass-distance relation
-_CANONICAL_TOL = 1e-10
 
 
 def _require_positive(name, value):
@@ -255,34 +253,6 @@ def group_act_phase(g: GroupElement, state: PhaseState) -> PhaseState:
         out.append((moebius_act(g, p), px * wx - py * wy, px * wy + py * wx))
     (q1, px1, py1), (q2, px2, py2) = out
     return PhaseState(Configuration(q1, q2), px1, py1, px2, py2)
-
-
-def momentum_at_canonical(
-    d1: float, d2: float, E: float, H: float, P: float, params: Params
-) -> np.ndarray:
-    """Momentum matrix at the canonical configuration moving with generator
-    (E, H, P), as a 2x2 coalgebra matrix.
-
-    The canonical configuration places the bodies at (tanh d1, sech d1) and
-    (-tanh d2, sech d2) on the unit half-circle, center of mass at (0, 1);
-    the masses must balance those arc distances.
-    """
-    u1, s1 = _tanh_sech(d1)
-    u2, s2 = _tanh_sech(d2)
-    ratio = params.m1 / params.m2
-    rel = u2 * s1 * s1 / (s2 * s2 * u1)
-    if abs(ratio - rel) > _CANONICAL_TOL * max(ratio, rel):
-        raise NotCanonical(
-            f"mass ratio {ratio:.12g} does not match the canonical relation "
-            f"{rel:.12g} for distances ({d1}, {d2})"
-        )
-    f = params.m2 * (u2 + u1) / (2.0 * s2 * s2 * u1)
-    return f * np.array(
-        [
-            [H, (1.0 - 2.0 * u1 * u2) * P + u1 * u2 * E],
-            [P - u1 * u2 * E, -H],
-        ]
-    )
 
 
 # -- locked inertia and augmented potential ------------------------------

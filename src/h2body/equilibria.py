@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import MassDistanceMismatch, NonPositiveDistance, OracleMismatch, OutOfRange
+from .errors import NonPositiveDistance, OracleMismatch, OutOfRange
 from .geom import (
     Orientation,
     Point,
@@ -44,14 +44,10 @@ from .dynamics import (
     augmented_potential_gradient,
     generator_momenta,
     legendre,
-    momentum_at_canonical,
 )
 
 # z -> -1/z; on the unit half-circle this is the reflection (x, y) -> (-x, y)
 _QUARTER_TURN = GroupElement(0.0, -1.0, 1.0, 0.0)
-
-# relative slack on m1 sinh(2 d1) = m2 sinh(2 d2) before rejecting input
-_BALANCE_TOL = 1e-9
 
 
 class Family(Enum):
@@ -123,6 +119,20 @@ def canonical_configuration(d1: float, d2: float) -> Configuration:
     return Configuration(Point(u1, s1), Point(-u2, s2))
 
 
+def momentum_at_canonical(d1: float, E: float, H: float, P: float, params: Params) -> np.ndarray:
+    """Momentum matrix at the canonical configuration of d1 and its partner
+    distance, moving with generator (E, H, P), as a 2x2 coalgebra matrix."""
+    u1, s1 = _tanh_sech(d1)
+    u2, s2 = _tanh_sech(partner_distance(d1, params))
+    f = params.m2 * (u2 + u1) / (2.0 * s2 * s2 * u1)
+    return f * np.array(
+        [
+            [H, (1.0 - 2.0 * u1 * u2) * P + u1 * u2 * E],
+            [P - u1 * u2 * E, -H],
+        ]
+    )
+
+
 @dataclass(frozen=True)
 class CanonicalForm:
     """Result of moving a configuration to canonical position."""
@@ -178,7 +188,7 @@ class GeneratorCases:
 
     def commutator(self, E: float, H: float, P: float) -> np.ndarray:
         """[J, xi] at the canonical configuration moving with (E, H, P)."""
-        j = momentum_at_canonical(self.d1, self.d2, E, H, P, self.params)
+        j = momentum_at_canonical(self.d1, E, H, P, self.params)
         m = AlgebraElement(E, H, P).matrix()
         return j @ m - m @ j
 
@@ -207,14 +217,15 @@ def _omega2_canonical(d1: float, d2: float, params: Params) -> float:
     return params.k * (s1 * s1 * s2 * s2 / (u1 + u2) ** 2 * (s2 * s2 / u2)) * params.m1
 
 
-def admissible_generators(d1: float, d2: float, params: Params) -> GeneratorCases:
-    """Scan the commuting generator directions at a canonical configuration.
+def admissible_generators(d1: float, params: Params) -> GeneratorCases:
+    """Scan the commuting generator directions at the canonical configuration of d1.
 
     For each direction the relevant test is whether some rate makes the
     augmented potential critical there; the returned report carries the
     gradient norms. Mixed directions are scanned over a rate grid and
     polished with a golden-section refinement.
     """
+    d2 = partner_distance(d1, params)
     config = canonical_configuration(d1, d2)
     omega2 = _omega2_canonical(d1, d2, params)
     omega = math.sqrt(omega2)
@@ -244,7 +255,7 @@ def admissible_generators(d1: float, d2: float, params: Params) -> GeneratorCase
     # criticality obstruction of the mixed direction in closed form
     residual = params.m2 ** 2 * params.k * u2 * s2 * s2 * s1 ** 4 * (u1 + u2)
 
-    j = momentum_at_canonical(d1, d2, 0.0, 0.0, 1.0, params)
+    j = momentum_at_canonical(d1, 0.0, 0.0, 1.0, params)
     m = XI_P.matrix()
     comm = j @ m - m @ j
     parabolic = float(np.sqrt(np.sum(comm * comm)))
@@ -292,26 +303,19 @@ class RelativeEquilibrium:
 
 
 def build_relative_equilibrium(
-    family: Family, d1: float, d2: float, params: Params, sign: int = 1
+    family: Family, d1: float, params: Params, sign: int = 1
 ) -> RelativeEquilibrium:
-    """Construct the relative equilibrium with the given arc distances.
+    """Construct the relative equilibrium with body 1 at arc distance d1.
 
-    The distances must balance the masses: m1 sinh(2 d1) = m2 sinh(2 d2)
-    within 1e-9 relative, else MassDistanceMismatch. ``sign`` picks the
-    sense of motion. The construction cross-checks the intrinsic and
-    canonical-position rate formulas and the criticality of the augmented
-    potential before returning, and raises OracleMismatch if either fails.
+    Body 2 sits at the d2 that balances the masses, m1 sinh(2 d1) =
+    m2 sinh(2 d2). ``sign`` picks the sense of motion. The construction
+    cross-checks the intrinsic and canonical-position rate formulas and the
+    criticality of the augmented potential before returning, and raises
+    OracleMismatch if either fails.
     """
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
-    _check_distances(d1=d1, d2=d2)
-    b1 = params.m1 * math.sinh(2.0 * d1)
-    b2 = params.m2 * math.sinh(2.0 * d2)
-    if abs(b1 - b2) > _BALANCE_TOL * max(b1, b2):
-        raise MassDistanceMismatch(
-            f"m1 sinh(2 d1) = {b1:.12g} but m2 sinh(2 d2) = {b2:.12g}; "
-            "the distances do not balance the masses"
-        )
+    d2 = partner_distance(d1, params)
 
     # the collision cutoff first: at tiny d the rate formulas divide by an
     # underflowed sinh(d)^2

@@ -22,14 +22,6 @@ class Collision(H2BodyError):
     """Particle separation at or below the collision cutoff."""
 
 
-class NotCanonical(H2BodyError):
-    """Angles and masses violate the canonical center-of-mass relation."""
-
-
-class MassDistanceMismatch(H2BodyError):
-    """Distances to the center of mass are inconsistent with the masses."""
-
-
 class NonPositiveDistance(H2BodyError):
     """A distance parameter that must be positive is not."""
 

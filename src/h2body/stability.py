@@ -151,7 +151,7 @@ def rig_block_oracle(re: RelativeEquilibrium, ii: np.ndarray) -> np.ndarray:
 
 # -- internal block ------------------------------------------------------
 
-def v_int_generator(family: Family, d1: float, d2: float) -> np.ndarray:
+def v_int_generator(d1: float, d2: float) -> np.ndarray:
     """Chart direction spanning the internal variation space, ordered
     (x1, y1, x2, y2). The same direction works for both families: it is
     tangential at each body, hence metric-orthogonal to the radial
@@ -216,7 +216,7 @@ def internal_correction(re: RelativeEquilibrium, ii: np.ndarray) -> tuple[float,
     """Momentum-constraint correction <(DII w) xi, II^{-1} (DII w) xi> along
     the internal direction w, on the locked inertia ii, and the algebra
     element eta = II^{-1} (DII w) xi it hinges on."""
-    w = v_int_generator(re.family, re.d1, re.d2)
+    w = v_int_generator(re.d1, re.d2)
     q, p = re.config.coords(), re.params
     dii = _cs_derivative(_locked_inertia, q, w, p.m1, p.m2)
     mvec = dii @ re.xi.coords()
@@ -231,7 +231,7 @@ def internal_block_oracle(re: RelativeEquilibrium, correction: float) -> float:
     direction w, as w . (complex step of its chart gradient along w), plus
     the correction of internal_correction. The tests hold that gradient to
     the complex step of the augmented potential itself."""
-    w = v_int_generator(re.family, re.d1, re.d2)
+    w = v_int_generator(re.d1, re.d2)
     q = re.config.coords()
     hess_w = _cs_derivative(_augmented_potential_gradient, q, w, re.params, re.xi)
     return float(w @ hess_w) + correction

@@ -16,7 +16,6 @@ from h2body import (
     Point,
     build_relative_equilibrium,
     flow,
-    partner_distance,
     phase_state,
 )
 from h2body.liegroup import AlgebraElement
@@ -65,9 +64,8 @@ def random_balanced_re(rng, family, d1_range=(0.15, 1.3), c_range=(0.25, 4.0)):
     m2 = 0.5 + 1.5 * rng.random()
     k = 0.5 + 1.5 * rng.random()
     params = Params(c * m2, m2, k)
-    d2 = partner_distance(d1, params)
     sign = 1 if rng.random() < 0.5 else -1
-    return build_relative_equilibrium(family, d1, d2, params, sign=sign)
+    return build_relative_equilibrium(family, d1, params, sign=sign)
 
 
 def _bisect_secant(f, lo, hi, tol):

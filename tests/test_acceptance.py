@@ -21,7 +21,7 @@ from conftest import (
     random_point,
 )
 
-from h2body import Family, Params, build_relative_equilibrium, partner_distance
+from h2body import Family, Params, build_relative_equilibrium
 from h2body.dynamics import (
     Configuration,
     Point,
@@ -130,7 +130,7 @@ def test_ac02_criticality_and_rotation_rate_forms():
             sh2 = math.sinh(d) ** 2
             form_a = 2.0 * p.k * p.m1 / (sh2 * math.sinh(2.0 * re.d2))
             form_b = 2.0 * p.k * p.m2 / (sh2 * math.sinh(2.0 * re.d1))
-            trig = admissible_generators(re.d1, re.d2, p).omega2
+            trig = admissible_generators(re.d1, p).omega2
             worst_rate = max(
                 worst_rate,
                 abs(form_a - trig) / trig,
@@ -153,8 +153,8 @@ def test_ac03_excluded_generator_cases():
     for d1 in np.linspace(0.1, 1.5, 10):
         for c in np.geomspace(0.2, 5.0, 5):
             params = Params(c, 1.0, 1.0)
-            d2 = partner_distance(d1, params)
-            cases = admissible_generators(d1, d2, params)
+            cases = admissible_generators(d1, params)
+            d2 = cases.d2
             # the obstruction has an explicit product form; check it on the fly
             expect = (
                 params.m2 ** 2 * params.k
@@ -211,9 +211,7 @@ def test_ac05_hyperbolic_rigid_translation():
         c = math.exp(math.log(0.5) + math.log(4.0) * rng.random())
         sign = 1 if rng.random() < 0.5 else -1
         params = Params(c, 1.0, 1.0)
-        re = build_relative_equilibrium(
-            Family.HYPERBOLIC, d1, partner_distance(d1, params), params, sign=sign
-        )
+        re = build_relative_equilibrium(Family.HYPERBOLIC, d1, params, sign=sign)
         record = integrate(initial_state(re), params, IntegratorConfig(t_end=10.0))
         worst_d = max(
             worst_d, float(np.max(np.abs(record.distance - record.distance[0])))
@@ -278,9 +276,7 @@ def test_ac07_threshold_exactness_and_sign_flip():
         params = Params(float(c), 1.0, 1.0)
         for du, expect_positive in ((-1e-3, True), (1e-3, False)):
             d1 = math.atanh(u0 + du)
-            re = build_relative_equilibrium(
-                Family.ELLIPTIC, d1, partner_distance(d1, params), params
-            )
+            re = build_relative_equilibrium(Family.ELLIPTIC, d1, params)
             assert (internal_block(re) > 0.0) is expect_positive, (c, du)
     elapsed = time.time() - t0
     assert elapsed < 5.0
@@ -295,9 +291,7 @@ def test_ac08_intrinsic_bound_matches_classifier():
     for d1 in np.linspace(0.1, 1.6, 50):
         for c in np.geomspace(0.05, 20.0, 20):
             params = Params(float(c), 1.0, 1.0)
-            re = build_relative_equilibrium(
-                Family.ELLIPTIC, float(d1), partner_distance(float(d1), params), params
-            )
+            re = build_relative_equilibrium(Family.ELLIPTIC, float(d1), params)
             report = classify_stability(re)
             if report.verdict.value == "degenerate":
                 degenerate += 1
@@ -334,9 +328,7 @@ def test_ac10_perturbation_dichotomy():
 
     def experiment(u):
         d1 = math.atanh(u)
-        re = build_relative_equilibrium(
-            Family.ELLIPTIC, d1, partner_distance(d1, params), params
-        )
+        re = build_relative_equilibrium(Family.ELLIPTIC, d1, params)
         return perturb_and_measure(
             PerturbationExperiment(
                 base=re,

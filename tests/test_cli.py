@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import h2body
@@ -17,7 +18,6 @@ from h2body import (
     analytic_trajectory,
     build_relative_equilibrium,
     initial_state,
-    partner_distance,
     read_trajectory_csv,
 )
 from h2body.cli import build_parser, main
@@ -35,9 +35,7 @@ def write_json(path, doc):
 
 
 def simulate_scenario(tmp_path, **overrides):
-    re = build_relative_equilibrium(
-        Family.ELLIPTIC, 0.5, 0.5, Params(1.0, 1.0, 1.0)
-    )
+    re = build_relative_equilibrium(Family.ELLIPTIC, 0.5, Params(1.0, 1.0, 1.0))
     z = initial_state(re).as_array()
     doc = {
         "mode": "simulate",
@@ -72,9 +70,7 @@ class TestEquilibriumCommand:
         assert code == 0
         doc = json.loads(out)
         params = Params(2.5, 1.0, 1.0)
-        re = build_relative_equilibrium(
-            Family.ELLIPTIC, 0.5, partner_distance(0.5, params), params
-        )
+        re = build_relative_equilibrium(Family.ELLIPTIC, 0.5, params)
         assert doc["omega"] == re.omega
         assert doc["d2"] == re.d2
         # the canonical angles are output only, computed as they always were
@@ -468,7 +464,7 @@ class TestSimulateCommand:
     def test_rel_tol_loosens_drift(self, capsys, tmp_path):
         # one sample a period, so that the tolerance bounds the step (on a
         # grid finer than the step both tolerances give the same steps)
-        re = build_relative_equilibrium(Family.ELLIPTIC, 0.5, 0.5, Params(1.0, 1.0, 1.0))
+        re = build_relative_equilibrium(Family.ELLIPTIC, 0.5, Params(1.0, 1.0, 1.0))
         grid = {"t_end": 10.0 * re.period, "sample_dt": re.period}
         drift = {}
         for name, tolerances in (("tight", {}), ("loose", {"rel_tol": 1e-5, "abs_tol": 1e-8})):
@@ -609,12 +605,22 @@ class TestPerturbCommand:
 
     def test_negative_seed_override_exits_2(self, capsys, tmp_path):
         # as a negative seed in the scenario does; mod 2^64, -1 would name
-        # the stream of 18446744073709551615
-        scenario = self._scenario(tmp_path)
-        code, out, err = run(capsys, "perturb", "--scenario", scenario, "--seed", "-1")
-        assert code == 2
-        assert out == ""
-        assert err == "error: --seed must be at least 0, got -1\n"
+        # the stream of 18446744073709551615, and 2^64 would run seed 0's
+        # trials under its own name, from either source
+        big = 2**64
+        for seed, extra, message in (
+            (7, ("--seed", "-1"), "--seed must be at least 0, got -1"),
+            (7, ("--seed", str(big)), f"--seed must be below 2**64, got {big}"),
+            (big, (), f"protocol.seed must be below 2**64, got {big}"),
+        ):
+            scenario = self._scenario(tmp_path, seed=seed)
+            code, out, err = run(capsys, "perturb", "--scenario", scenario, *extra)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: {message}\n"
+        code, out, _ = run(capsys, "perturb", "--scenario", scenario, "--seed", str(big - 1))
+        assert code == 0
+        assert json.loads(out)["protocol"]["seed"] == big - 1
 
     def test_horizon_exclusivity(self, capsys, tmp_path):
         scenario = self._scenario(tmp_path, horizon=5.0)
@@ -631,12 +637,14 @@ class TestPerturbCommand:
         assert "horizon" in err
 
     def test_bad_sign_exits_2(self, capsys, tmp_path):
+        # true and -1.0 compare equal to 1 and -1, yet neither is +1 or -1
         doc = json.loads(Path(self._scenario(tmp_path)).read_text())
-        doc["equilibrium"]["sign"] = 2
-        scenario = write_json(tmp_path / "sign.json", doc)
-        code, _, err = run(capsys, "perturb", "--scenario", scenario)
-        assert code == 2
-        assert "sign" in err
+        for sign in (2, True, -1.0):
+            doc["equilibrium"]["sign"] = sign
+            scenario = write_json(tmp_path / "sign.json", doc)
+            code, _, err = run(capsys, "perturb", "--scenario", scenario)
+            assert code == 2, sign
+            assert err == "error: equilibrium.sign must be +1 or -1\n"
 
 
 @pytest.mark.parametrize(
@@ -814,6 +822,39 @@ def test_perturb_scale_with_no_valid_start_exits_2(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: no valid start in 1000 draws at scale 1e+300\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "equilibrium elliptic 0.5 --m2 1e300",
+        "equilibrium hyperbolic 1e-3 --k 1e300",
+        "equilibrium elliptic 18 --m1 1e-310",
+        "stability 5 --k 1.7e308",
+    ],
+)
+def test_failed_call_prints_no_warning(tmp_path, argv):
+    # each overflows in numpy on its way to a typed error; the error: line
+    # is all that reaches stderr
+    proc = _run_cli(tmp_path, *argv.split())
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_succeeding_call_still_shows_its_warnings(capsys, monkeypatch):
+    import h2body.cli as cli
+
+    exact = cli.classify_stability
+
+    def noisy(re):
+        np.float64(1e300) * np.float64(1e300)
+        return exact(re)
+
+    monkeypatch.setattr(cli, "classify_stability", noisy)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code, _, _ = run(capsys, "stability", "0.5")
+    assert code == 0
 
 
 def test_cli_import_leaves_scipy_out(tmp_path):
@@ -1068,6 +1109,16 @@ def test_readme_scenario_examples_run(capsys, tmp_path):
         out = ["--out", str(tmp_path / "out")] if mode == "simulate" else []
         code, _, err = run(capsys, mode, "--scenario", str(scenario), *out)
         assert code == 0, err
+
+
+def test_readme_python_examples_run(capsys):
+    # the Python blocks of "Quick start" and "From Python", run as printed,
+    # so that a change of signature cannot leave them stale
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [part.split("```")[0] for part in readme.split("```python\n")[1:]]
+    assert len(blocks) == 2
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 def test_readme_names_every_option():

@@ -10,7 +10,6 @@ from h2body import (
     CoalgebraElement,
     Collision,
     Configuration,
-    NotCanonical,
     Params,
     PhaseState,
     Point,
@@ -28,6 +27,7 @@ from h2body import (
     locked_inertia,
     momentum_at_canonical,
     momentum_map,
+    partner_distance,
     phase_state,
     potential,
     velocity_vectors,
@@ -261,17 +261,17 @@ class TestMomentumAtCanonical:
         # dual route: closed-form matrix against momentum_map(legendre(...))
         for _ in range(50):
             d1 = float(rng.uniform(0.27, 1.9))
-            d2 = float(rng.uniform(0.27, 1.9))
-            m2 = float(rng.uniform(0.5, 2.0))
-            cfg, params = _canonical_setup(d1, d2, m2)
+            params = Params(*(float(m) for m in rng.uniform(0.5, 2.0, size=2)))
+            # bodies at (tanh d1, sech d1) and (-tanh d2, sech d2)
+            d2 = partner_distance(d1, params)
+            cfg = Configuration(
+                Point(math.tanh(d1), 1.0 / math.cosh(d1)),
+                Point(-math.tanh(d2), 1.0 / math.cosh(d2)),
+            )
             E, H, P = (float(v) for v in rng.normal(size=3))
             mu = momentum_map(legendre(cfg, params, AlgebraElement(E, H, P)))
-            closed = momentum_at_canonical(d1, d2, E, H, P, params)
+            closed = momentum_at_canonical(d1, E, H, P, params)
             assert np.allclose(mu.matrix(), closed, rtol=1e-10, atol=1e-12)
-
-    def test_rejects_wrong_masses(self):
-        with pytest.raises(NotCanonical):
-            momentum_at_canonical(0.6, 0.85, 1.0, 0.0, 0.0, Params(1.0, 1.0))
 
 
 class TestLockedInertia:

@@ -7,7 +7,6 @@ import pytest
 
 from h2body import (
     Family,
-    MassDistanceMismatch,
     NonPositiveDistance,
     OracleMismatch,
     Orientation,
@@ -154,9 +153,9 @@ class TestPartnerDistance:
                 partner_distance(d1, Params(1.0, 1.0))
         assert math.tanh(19.0) < 1.0
         partner_distance(19.0, Params(1.0, 1.0))
-        # a legal d1 whose partner is out of range
+        # a legal d1 whose partner is out of range: d2 is about 21.4
         with pytest.raises(OutOfRange):
-            build_relative_equilibrium(Family.ELLIPTIC, 0.5, 19.5, Params(1.0, 1.0))
+            build_relative_equilibrium(Family.ELLIPTIC, 18.0, Params(1e3, 1.0))
 
 
 class TestCanonicalConfiguration:
@@ -257,7 +256,7 @@ class TestAdmissibleGenerators:
         m2 = float(rng.uniform(0.5, 2.0))
         m1 = m2 * math.tanh(d2) * math.cosh(d2) ** 2 / (math.cosh(d1) ** 2 * math.tanh(d1))
         params = Params(m1, m2, float(rng.uniform(0.5, 2.0)))
-        return admissible_generators(d1, d2, params), params
+        return admissible_generators(d1, params), params
 
     def test_dilation_and_rotation_admit(self, rng):
         for _ in range(20):
@@ -297,9 +296,7 @@ class TestAdmissibleGenerators:
 class TestBuildRelativeEquilibrium:
     def test_equal_mass_unit_distance_rate(self):
         # d1 = d2 = 1/2, m1 = m2 = k = 1: omega^2 = 2 / sinh(1)^3
-        re = build_relative_equilibrium(
-            Family.ELLIPTIC, 0.5, 0.5, Params(1.0, 1.0, 1.0)
-        )
+        re = build_relative_equilibrium(Family.ELLIPTIC, 0.5, Params(1.0, 1.0, 1.0))
         assert re.omega ** 2 == pytest.approx(1.2322343865586145, rel=1e-14)
         assert re.distance == pytest.approx(1.0, abs=1e-15)
         # same rate through the canonical-position form with u = tanh(1/2),
@@ -319,7 +316,7 @@ class TestBuildRelativeEquilibrium:
             d1 = float(d1)
             d2 = partner_distance(d1, params)
             try:
-                re = build_relative_equilibrium(family, d1, d2, params)
+                re = build_relative_equilibrium(family, d1, params)
             except OutOfRange:
                 assert math.tanh(d2) == 1.0
                 continue
@@ -329,17 +326,11 @@ class TestBuildRelativeEquilibrium:
             assert (q2.x, q2.y) == (-math.tanh(d2), 1.0 / math.cosh(d2))
         assert built >= 118
 
-    def test_rejects_unbalanced_distances(self):
-        with pytest.raises(MassDistanceMismatch):
-            build_relative_equilibrium(Family.ELLIPTIC, 0.5, 0.7, Params(1.0, 1.0))
-
     def test_rejects_bad_sign_and_distance(self):
         with pytest.raises(ValueError):
-            build_relative_equilibrium(
-                Family.ELLIPTIC, 0.5, 0.5, Params(1.0, 1.0), sign=2
-            )
+            build_relative_equilibrium(Family.ELLIPTIC, 0.5, Params(1.0, 1.0), sign=2)
         with pytest.raises(NonPositiveDistance):
-            build_relative_equilibrium(Family.ELLIPTIC, -0.5, 0.5, Params(1.0, 1.0))
+            build_relative_equilibrium(Family.ELLIPTIC, -0.5, Params(1.0, 1.0))
 
     @pytest.mark.parametrize("family", [Family.ELLIPTIC, Family.HYPERBOLIC])
     @pytest.mark.parametrize("d1", [0.001, 1.0])
@@ -349,7 +340,7 @@ class TestBuildRelativeEquilibrium:
         import h2body.equilibria as eq
 
         params = Params(1.0, 1.0)
-        build_relative_equilibrium(family, d1, d1, params)
+        build_relative_equilibrium(family, d1, params)
         exact = eq.augmented_potential_gradient
         monkeypatch.setattr(
             eq,
@@ -357,7 +348,7 @@ class TestBuildRelativeEquilibrium:
             lambda config, params, xi: exact(config, params, xi * (1.0 + 1e-6)),
         )
         with pytest.raises(OracleMismatch, match="not critical"):
-            build_relative_equilibrium(family, d1, d1, params)
+            build_relative_equilibrium(family, d1, params)
 
     def test_generator_direction_per_family(self, rng):
         hyp = random_balanced_re(rng, Family.HYPERBOLIC)
@@ -382,9 +373,8 @@ class TestBuildRelativeEquilibrium:
     def test_sign_flips_omega(self):
         params = Params(2.0, 1.0)
         d1 = 0.4
-        d2 = partner_distance(d1, params)
-        plus = build_relative_equilibrium(Family.ELLIPTIC, d1, d2, params, sign=1)
-        minus = build_relative_equilibrium(Family.ELLIPTIC, d1, d2, params, sign=-1)
+        plus = build_relative_equilibrium(Family.ELLIPTIC, d1, params, sign=1)
+        minus = build_relative_equilibrium(Family.ELLIPTIC, d1, params, sign=-1)
         assert minus.omega == -plus.omega
 
 
@@ -488,8 +478,7 @@ class TestIntrinsicChecks:
         params = Params(c, 1.0)
         for d1 in np.geomspace(1e-4, 19.0, 40):
             try:
-                d2 = partner_distance(float(d1), params)
-                re = build_relative_equilibrium(family, float(d1), d2, params)
+                re = build_relative_equilibrium(family, float(d1), params)
             except OutOfRange:
                 continue
             rep = intrinsic_checks(re)

@@ -25,7 +25,6 @@ from h2body import (
     initial_state,
     integrate,
     momentum_map,
-    partner_distance,
     perturb_and_measure,
     phase_state,
     read_trajectory_csv,
@@ -38,9 +37,7 @@ from h2body.geom import separation
 
 def _equal_mass_elliptic(u=0.4, k=1.0, sign=1):
     d1 = math.atanh(u)
-    return build_relative_equilibrium(
-        Family.ELLIPTIC, d1, d1, Params(1.0, 1.0, k), sign=sign
-    )
+    return build_relative_equilibrium(Family.ELLIPTIC, d1, Params(1.0, 1.0, k), sign=sign)
 
 
 def _kicked_bound_state(re, size=1e-2):
@@ -138,9 +135,7 @@ class TestRecords:
     @pytest.mark.parametrize("sign", [1, -1])
     def test_analytic_states_rows_match_scalar_trajectory(self, family, sign):
         params = Params(2.0, 1.0, 1.5)
-        re = build_relative_equilibrium(
-            family, 0.4, partner_distance(0.4, params), params, sign=sign
-        )
+        re = build_relative_equilibrium(family, 0.4, params, sign=sign)
         ts = np.linspace(0.0, 3.0, 25)
         states = analytic_states(re, ts)
         assert states.shape == (25, 8)
@@ -330,7 +325,7 @@ class TestIntegrate:
 
     def test_hyperbolic_family_tracked_too(self):
         params = Params(1.0, 1.0)
-        re = build_relative_equilibrium(Family.HYPERBOLIC, 0.5, 0.5, params)
+        re = build_relative_equilibrium(Family.HYPERBOLIC, 0.5, params)
         dev = compare_analytic(re, IntegratorConfig(t_end=2.0))
         assert dev < 1e-6
 
@@ -496,7 +491,7 @@ class TestEngine:
         # a stage moves it by about 1e-6 and the next step by 1/8 of that
         d1 = math.atanh(u)
         params = Params(c, 1.0)
-        re = build_relative_equilibrium(Family.ELLIPTIC, d1, partner_distance(d1, params), params)
+        re = build_relative_equilibrium(Family.ELLIPTIC, d1, params)
         start = _kicked_starts(re, 1)[:, 0]
         span = (0.0, 10.0 * re.period)
         lone = sim_mod.solve_ivp(_rhs(params), span, start, rtol=1e-10, atol=1e-12,

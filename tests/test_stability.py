@@ -49,8 +49,7 @@ from conftest import random_balanced_re
 def _elliptic_re(u, c, m2=1.0, k=1.0, sign=1):
     d1 = math.atanh(u)
     params = Params(c * m2, m2, k)
-    d2 = partner_distance(d1, params)
-    return build_relative_equilibrium(Family.ELLIPTIC, d1, d2, params, sign=sign)
+    return build_relative_equilibrium(Family.ELLIPTIC, d1, params, sign=sign)
 
 
 RATIOS = (1e-2, 0.3, 1.0, 3.0, 1e2)
@@ -78,8 +77,8 @@ def _domain_grid(d1s, ratios):
                 yield family, d1, float(c), d2
 
 
-def _re_on_grid(family, d1, c, d2):
-    return build_relative_equilibrium(family, d1, d2, Params(c, 1.0))
+def _re_on_grid(family, d1, c):
+    return build_relative_equilibrium(family, d1, Params(c, 1.0))
 
 
 class TestShapeFunctions:
@@ -177,8 +176,8 @@ class TestRigBlock:
             return out
 
         checked = 0
-        for family, d1, c, d2 in _domain_grid(np.geomspace(1e-3, 18.0, 30), (0.1, 1.0, 10.0)):
-            re = _re_on_grid(family, d1, c, d2)
+        for family, d1, c, _ in _domain_grid(np.geomspace(1e-3, 18.0, 30), (0.1, 1.0, 10.0)):
+            re = _re_on_grid(family, d1, c)
             ref = entrywise(re)
             scale = float(np.max(np.abs(ref)))
             err = float(np.max(np.abs(_rig_oracle(re) - ref)))
@@ -192,9 +191,7 @@ class TestRigBlock:
         with mpmath.workdps(50):
             for m1 in (1e-150, 1e-200, 1e-300):
                 params = Params(m1, 1.0)
-                re = build_relative_equilibrium(
-                    Family.HYPERBOLIC, 0.5, partner_distance(0.5, params), params
-                )
+                re = build_relative_equilibrium(Family.HYPERBOLIC, 0.5, params)
                 u1, u2 = mpmath.tanh(re.d1), mpmath.tanh(re.d2)
                 pre = mpmath.mpf(re.omega) ** 2 * (u1 + u2) * u2 * mpmath.cosh(re.d2) ** 2
                 pre /= 1 - u1 * u2
@@ -226,7 +223,7 @@ class TestRigBlock:
         with mpmath.workdps(80):
             checked = 0
             for family, d1, c, d2 in _domain_grid(np.geomspace(1e-6, 19.0, 60), RATIOS):
-                re = _re_on_grid(family, d1, c, d2)
+                re = _re_on_grid(family, d1, c)
                 u1, u2 = mpmath.tanh(d1), mpmath.tanh(d2)
                 pre = mpmath.mpf(re.omega) ** 2 * (u1 + u2) * u2 * mpmath.cosh(d2) ** 2
                 if family is Family.HYPERBOLIC:
@@ -265,8 +262,8 @@ class TestInternalBlock:
     def test_oracle_matches_on_a_grid(self):
         # the complex-step oracle against the closed form across mass
         # ratios, both families, and d1 from 0.01 to 6
-        for family, d1, c, d2 in _domain_grid(np.geomspace(0.01, 6.0, 25), RATIOS):
-            re = _re_on_grid(family, d1, c, d2)
+        for family, d1, c, _ in _domain_grid(np.geomspace(0.01, 6.0, 25), RATIOS):
+            re = _re_on_grid(family, d1, c)
             closed = internal_block(re)
             oracle = _internal_oracle(re)
             assert oracle == pytest.approx(closed, rel=1e-8, abs=0.0), (family, d1, c)
@@ -287,7 +284,7 @@ class TestInternalBlock:
 
     def test_internal_direction_shape(self, rng):
         re = random_balanced_re(rng, Family.ELLIPTIC)
-        w = v_int_generator(re.family, re.d1, re.d2)
+        w = v_int_generator(re.d1, re.d2)
         q1, q2 = re.config.q1, re.config.q2
         # tangential to the unit circle at each body
         assert w[0] * q1.x + w[1] * q1.y == pytest.approx(0.0, abs=1e-15)
@@ -307,7 +304,7 @@ class TestInternalBlock:
         # central differences of the same definition
         for _ in range(10):
             re = random_balanced_re(rng, Family.ELLIPTIC)
-            w = v_int_generator(re.family, re.d1, re.d2)
+            w = v_int_generator(re.d1, re.d2)
             q = np.array(re.config.coords())
             m1, m2 = re.params.m1, re.params.m2
             dii = _cs_derivative(_locked_inertia, q, w, m1, m2)
@@ -349,8 +346,8 @@ class TestClassifyStability:
         # degenerate only next to the threshold
         u0 = {c: threshold(c).u0 for c in np.geomspace(1e-2, 1e2, 15).tolist()}
         checked = 0
-        for family, d1, c, d2 in _domain_grid(np.geomspace(1e-6, 19.0, 120), u0):
-            rep = classify_stability(_re_on_grid(family, d1, c, d2))
+        for family, d1, c, _ in _domain_grid(np.geomspace(1e-6, 19.0, 120), u0):
+            rep = classify_stability(_re_on_grid(family, d1, c))
             if rep.verdict is Verdict.DEGENERATE:
                 assert family is Family.ELLIPTIC
                 assert abs(math.tanh(d1) - u0[c]) < 1e-8, (d1, c)
