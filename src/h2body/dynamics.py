@@ -21,7 +21,7 @@ from .liegroup import (
     CoalgebraElement,
     GroupElement,
     generator_field,
-    moebius_act,
+    moebius_map,
 )
 
 # separations at or below this are treated as collision
@@ -208,6 +208,29 @@ def _field_array(z, m1, m2, k):
     )
 
 
+def _generator_lift(xi: AlgebraElement, z):
+    """Cotangent lift of the generator field of xi at the states z, (8,) or
+    (8, N), ordered like as_array(): the field the flow of xi moves a state
+    with. Its chart part is the generator field at each body; its momentum
+    part is minus the transposed chart Jacobian [[a, b], [-b, a]] of the
+    generator applied to the momenta, a = H - E x and b = E y."""
+    x1, y1, x2, y2, px1, py1, px2, py2 = z
+    a1 = xi.H - xi.E * x1
+    b1 = xi.E * y1
+    a2 = xi.H - xi.E * x2
+    b2 = xi.E * y2
+    return np.array(
+        [
+            *generator_field(xi, x1, y1),
+            *generator_field(xi, x2, y2),
+            b1 * py1 - a1 * px1,
+            -(b1 * px1 + a1 * py1),
+            b2 * py2 - a2 * px2,
+            -(b2 * px2 + a2 * py2),
+        ]
+    )
+
+
 def velocity_vectors(state: PhaseState, params: Params):
     """Chart velocities obtained by raising the momenta with the cometric."""
     q1, q2 = state.config.q1, state.config.q2
@@ -233,26 +256,31 @@ def momentum_map(state: PhaseState) -> CoalgebraElement:
     return CoalgebraElement(je, jh, jp)
 
 
-def group_act_phase(g: GroupElement, state: PhaseState) -> PhaseState:
-    """Cotangent lift of the Moebius action.
+def _act_phase(a, b, c, d, z):
+    """Cotangent lift of the Moebius map with entries (a, b, c, d) at the
+    state z, ordered like as_array(); floats or arrays alike, so an (8, N)
+    batch may take one map per column.
 
     Momenta transform by the inverse transpose of the chart Jacobian; for
     a conformal map that is complex multiplication by conj((c z + d)^2).
-    The lift is metric-independent, hence mass-independent.
     """
+    x1, y1, x2, y2, px1, py1, px2, py2 = z
     out = []
-    for (p, px, py) in (
-        (state.config.q1, state.px1, state.py1),
-        (state.config.q2, state.px2, state.py2),
-    ):
-        ux = g.c * p.x + g.d
-        uy = g.c * p.y
+    for x, y, px, py in ((x1, y1, px1, py1), (x2, y2, px2, py2)):
+        ux = c * x + d
+        uy = c * y
         # conj((cz+d)^2)
         wx = ux * ux - uy * uy
         wy = -2.0 * ux * uy
-        out.append((moebius_act(g, p), px * wx - py * wy, px * wy + py * wx))
-    (q1, px1, py1), (q2, px2, py2) = out
-    return PhaseState(Configuration(q1, q2), px1, py1, px2, py2)
+        out.append((*moebius_map(a, b, c, d, x, y), px * wx - py * wy, px * wy + py * wx))
+    (x1, y1, px1, py1), (x2, y2, px2, py2) = out
+    return x1, y1, x2, y2, px1, py1, px2, py2
+
+
+def group_act_phase(g: GroupElement, state: PhaseState) -> PhaseState:
+    """Cotangent lift of the Moebius action; see _act_phase. The lift is
+    metric-independent, hence mass-independent."""
+    return phase_state(*_act_phase(g.a, g.b, g.c, g.d, state.as_array().tolist()))
 
 
 # -- locked inertia and augmented potential ------------------------------

@@ -65,10 +65,6 @@ def identity() -> GroupElement:
     return GroupElement(1.0, 0.0, 0.0, 1.0)
 
 
-def from_matrix(m) -> GroupElement:
-    return GroupElement(float(m[0][0]), float(m[0][1]), float(m[1][0]), float(m[1][1]))
-
-
 @dataclass(frozen=True)
 class AlgebraElement:
     """sl(2,R) element with coordinates E (rotation), H (dilation),
@@ -190,34 +186,43 @@ def classify(xi: AlgebraElement) -> Classification:
     return Classification(ElementType.HYPERBOLIC, omega=2.0 * math.sqrt(disc))
 
 
-def flow(xi: AlgebraElement, t: float) -> GroupElement:
-    """Time-t flow exp(t * xi), in closed form per conjugacy type.
+def flow_entries(xi: AlgebraElement, t):
+    """Entries (a, b, c, d) of exp(t * xi) in closed form per conjugacy
+    type, at a time or an array of times alike.
 
     Elliptic: cos(w t/2) I + (2/w) sin(w t/2) M; hyperbolic the same with
-    cosh/sinh; parabolic: I + t M (M is nilpotent there).
+    cosh/sinh; parabolic and zero: I + t M (M is nilpotent there).
     """
     cls = classify(xi)
-    if cls.type is ElementType.ZERO:
-        return identity()
-    m = xi.matrix()
-    if cls.type is ElementType.PARABOLIC:
-        a = np.eye(2) + t * m
-    elif cls.type is ElementType.ELLIPTIC:
+    if cls.type is ElementType.ELLIPTIC:
         half = 0.5 * cls.omega
-        a = math.cos(half * t) * np.eye(2) + (math.sin(half * t) / half) * m
+        diag, s = np.cos(half * t), np.sin(half * t) / half
+    elif cls.type is ElementType.HYPERBOLIC:
+        half = 0.5 * cls.omega
+        diag, s = np.cosh(half * t), np.sinh(half * t) / half
     else:
-        half = 0.5 * cls.omega
-        a = math.cosh(half * t) * np.eye(2) + (math.sinh(half * t) / half) * m
-    return from_matrix(a)
+        diag, s = 1.0, t
+    h = 0.5 * xi.H
+    return diag + s * h, s * (-0.5 * xi.E + xi.P), s * (0.5 * xi.E), diag - s * h
+
+
+def flow(xi: AlgebraElement, t: float) -> GroupElement:
+    """Time-t flow exp(t * xi); see flow_entries."""
+    return GroupElement(*map(float, flow_entries(xi, t)))
+
+
+def moebius_map(a, b, c, d, x, y):
+    """Chart image (x', y') of (x, y) under z -> (az + b)/(cz + d); floats
+    or arrays alike."""
+    ux = c * x + d
+    uy = c * y
+    den = ux * ux + uy * uy
+    return ((a * x + b) * ux + a * c * y * y) / den, y / den
 
 
 def moebius_act(g: GroupElement, p: Point) -> Point:
     """Action of g on the half-plane, z -> (az + b)/(cz + d)."""
-    ux = g.c * p.x + g.d
-    uy = g.c * p.y
-    den = ux * ux + uy * uy
-    x = ((g.a * p.x + g.b) * ux + g.a * g.c * p.y * p.y) / den
-    return Point(x, p.y / den)
+    return Point(*moebius_map(g.a, g.b, g.c, g.d, p.x, p.y))
 
 
 def moebius_act_tangent(g: GroupElement, v: TangentVector) -> TangentVector:

@@ -351,7 +351,7 @@ class TestOneLineDocuments:
                 "horizon", "seed", "escape_threshold", "stable_band", "rel_tol",
                 "abs_tol")]
             + ["n_escaped", "n_bounded", "max_distance_deviation", "stats",
-               "stats.nfev", "trials"]
+               "stats.nfev", "stats.frame_xi", "trials"]
         )
         assert _key_paths(doc) == expected
         assert list(doc["trials"][0]) == [
@@ -592,8 +592,11 @@ class TestPerturbCommand:
             assert trial["stats"]["dense"] == 0  # no event fires on a stable run
             assert 0.0 < trial["stats"]["h_min"] <= trial["stats"]["h_max"]
             attempts.append(trial["stats"]["accepted"] + trial["stats"]["rejected"])
-        # one DOP853 batch: the field runs once per stage of the longest row
-        assert doc["stats"] == {"nfev": 2 + 12 * max(attempts)}
+        # one DOP853 batch: the field runs once per stage of the longest row,
+        # in the frame that rotates with the elliptic equilibrium's generator
+        re = build_relative_equilibrium(Family.ELLIPTIC, math.atanh(0.4), Params(1.0, 1.0))
+        assert doc["stats"] == {
+            "nfev": 2 + 12 * max(attempts), "frame_xi": [re.xi.E, re.xi.H, re.xi.P]}
 
     def test_seed_override(self, capsys, tmp_path):
         scenario = self._scenario(tmp_path)
@@ -799,6 +802,10 @@ def test_perturb_with_an_overflowing_field_ends_each_trial(tmp_path):
     assert proc.stderr == ""
     report = json.loads(proc.stdout)
     assert [t["error"] for t in report["trials"]] == ["step_underflow"] * 2
+    for trial in report["trials"]:
+        assert trial["message"].startswith("step size underflow at t = ")
+        assert trial["message"].endswith(
+            ": the step size is not a number (the field overflows the error scale)")
 
 
 def test_simulate_with_an_overflowing_field_exits_4(tmp_path):

@@ -10,18 +10,24 @@ from h2body import (
     CoalgebraElement,
     Collision,
     Configuration,
+    ElementType,
+    Family,
     Params,
     PhaseState,
     Point,
     augmented_potential,
     augmented_potential_gradient,
+    build_relative_equilibrium,
+    classify,
     coadjoint,
+    flow,
     group_act_phase,
     hamiltonian,
     hamiltonian_vector_field,
     hyperbolic_distance,
     hyperbolic_inner,
     infinitesimal_generator,
+    initial_state,
     kinetic_energy,
     legendre,
     locked_inertia,
@@ -33,7 +39,8 @@ from h2body import (
     velocity_vectors,
 )
 
-from h2body.dynamics import _field_array, _potential_gradient
+from h2body.dynamics import _act_phase, _field_array, _generator_lift, _potential_gradient
+from h2body.liegroup import flow_entries
 from h2body.stability import _inverse_apply
 
 from conftest import fd_gradient, random_algebra, random_config_state, random_group
@@ -244,6 +251,66 @@ class TestGroupActPhase:
         g = GroupElement(1.2, 0.3, -0.4, 0.7)
         moved = group_act_phase(g, s)
         assert isinstance(moved, PhaseState)
+
+
+# one generator of each conjugacy type
+_FRAME_XIS = {
+    ElementType.ELLIPTIC: AlgebraElement(1.5, 0.3, 0.2),
+    ElementType.HYPERBOLIC: AlgebraElement(0.2, 1.0, 0.3),
+    ElementType.PARABOLIC: AlgebraElement(0.8, 0.0, 0.4),
+    ElementType.ZERO: AlgebraElement(0.0, 0.0, 0.0),
+}
+
+
+def _columns(rng, n):
+    states = [random_config_state(rng)[0] for _ in range(n)]
+    return states, np.array([s.as_array() for s in states]).T
+
+
+class TestArrayForms:
+    """The array flow, phase action and generator lift that move a batch
+    between the chart and the frame of a generator."""
+
+    @pytest.mark.parametrize("kind", list(_FRAME_XIS), ids=lambda k: k.value)
+    def test_array_flow_and_action_match_the_dataclass_forms(self, rng, kind):
+        xi = _FRAME_XIS[kind]
+        assert classify(xi).type is kind
+        ts = rng.uniform(-2.0, 2.0, 50)
+        states, z = _columns(rng, ts.size)
+        entries = np.broadcast_arrays(*flow_entries(xi, ts))
+        moved = np.array(_act_phase(*entries, z))
+        for j, (t, s) in enumerate(zip(ts, states)):
+            g = flow(xi, t)
+            ref = np.array([g.a, g.b, g.c, g.d])
+            got = np.array([e[j] for e in entries])
+            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+            ref = group_act_phase(g, s).as_array()
+            # flow() rescales its entries to det 1, a change of about an ulp
+            # that the momenta, quadratic in the entries, feel twice
+            assert np.max(np.abs(moved[:, j] - ref)) <= 2e-15 * np.max(np.abs(ref))
+        if kind is ElementType.ZERO:
+            np.testing.assert_array_equal(moved, z)
+
+    @pytest.mark.parametrize("kind", list(_FRAME_XIS), ids=lambda k: k.value)
+    def test_lift_is_the_derivative_of_the_flowed_action(self, rng, kind):
+        # complex step in t through the closed-form flow and the action,
+        # exact to rounding since both are analytic in t
+        xi = _FRAME_XIS[kind]
+        _, z = _columns(rng, 20)
+        step = 1e-30
+        moved = np.array(_act_phase(*flow_entries(xi, complex(0.0, step)), z))
+        lift = _generator_lift(xi, z)
+        scale = np.max(np.abs(lift), axis=0) + 1e-300
+        assert np.max(np.abs(moved.imag / step - lift) / scale) <= 1e-14
+
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    def test_equilibrium_is_at_rest_in_its_frame(self, family):
+        for u in (0.2, 0.4, 0.8):
+            re = build_relative_equilibrium(family, math.atanh(u), Params(1.0, 2.0))
+            z = initial_state(re).as_array()[:, None]
+            field = _field_array(z, 1.0, 2.0, 1.0)
+            rest = field - _generator_lift(re.xi, z)
+            assert np.max(np.abs(rest)) <= 1e-14 * np.max(np.abs(field))
 
 
 def _canonical_setup(d1, d2, m2=1.0, k=1.0):

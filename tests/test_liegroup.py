@@ -29,7 +29,6 @@ from h2body import (
     moebius_act_tangent,
     normalizing_isometry,
 )
-from h2body.liegroup import from_matrix
 
 from conftest import random_algebra, random_group, random_point
 
@@ -352,8 +351,8 @@ class TestNormalizingIsometry:
             )
 
 
-def test_identity_and_from_matrix_round_trip():
+def test_identity_and_matrix_round_trip():
     g = identity()
     assert np.allclose(g.matrix(), np.eye(2))
-    h = from_matrix([[2.0, 1.0], [1.0, 1.0]])
+    h = GroupElement(2.0, 1.0, 1.0, 1.0)
     assert np.allclose(h.matrix(), [[2.0, 1.0], [1.0, 1.0]], atol=1e-15)

@@ -675,3 +675,108 @@ class TestCounters:
         passes = len(set(attempts))
         assert report["stats"]["nfev"] == 2 + 12 * max(attempts) + 3 * passes
         assert min(t["stats"]["accepted"] for t in trials) > 0
+
+
+# AC-10's seed
+_AC10_SEED = 20260816
+
+
+def _drawn_starts(re, n, seed, scale=1e-4):
+    """The starts perturb_and_measure draws for n trials from seed, as columns."""
+    rng = Xoshiro256StarStar(seed)
+    z0 = initial_state(re).as_array()
+    return np.array([sim_mod._draw_perturbed(rng, z0, scale)[0] for _ in range(n)]).T
+
+
+def _fixed_frame_batch(re, starts, horizon, rtol, atol):
+    """perturb's batch and events, integrated in the chart."""
+    return sim_mod.solve_ivp(_rhs(re.params), (0.0, horizon), starts, rtol=rtol, atol=atol,
+                             events=(sim_mod._collision_event, _escape_event(re)))
+
+
+def _record_rebuilds(monkeypatch):
+    """The chart states perturb_and_measure rebuilds, one (8, m) array per trial."""
+    rebuilt = []
+    act = sim_mod._act_phase
+
+    def recorded(*args):
+        out = np.array(act(*args))
+        rebuilt.append(out)
+        return out
+
+    monkeypatch.setattr(sim_mod, "_act_phase", recorded)
+    return rebuilt
+
+
+class TestMovingFrame:
+    """perturb runs an elliptic equilibrium's trials in the frame that
+    rotates with its generator, where the equilibrium is at rest, and
+    carries each accepted state back to the chart; a hyperbolic one stays
+    in the chart."""
+
+    def test_rebuilt_start_is_the_drawn_start(self, monkeypatch):
+        rebuilt = _record_rebuilds(monkeypatch)
+        re = _equal_mass_elliptic(u=0.4)
+        perturb_and_measure(PerturbationExperiment(re, 1e-4, 3, re.period, 11))
+        starts = _drawn_starts(re, 3, 11)
+        assert len(rebuilt) == 3
+        for i, states in enumerate(rebuilt):
+            assert states[:, 0].tobytes() == starts[:, i].tobytes()
+
+    def test_stable_point_takes_a_third_of_the_fixed_frame_field_calls(self):
+        # AC-10's stable point over 20 periods: in the chart its 50 trials
+        # took 9,170 field calls, and these 10 took 9,158
+        re = _equal_mass_elliptic(u=0.4)
+        report = perturb_and_measure(
+            PerturbationExperiment(re, 1e-4, 10, 20.0 * re.period, _AC10_SEED))
+        assert report["stats"]["frame_xi"] == [re.xi.E, re.xi.H, re.xi.P]
+        assert report["stats"]["nfev"] <= 9170 / 3
+        assert report["n_bounded"] == 10
+
+    def test_hyperbolic_family_stays_in_the_chart(self):
+        # a boosting frame loses there: trials that wander off the
+        # equilibrium are dominated by the frame's own dilation
+        re = build_relative_equilibrium(Family.HYPERBOLIC, 0.5, Params(1.0, 1.0))
+        horizon = 10.0 / abs(re.omega)
+        report = perturb_and_measure(PerturbationExperiment(re, 1e-4, 3, horizon, 7))
+        assert report["stats"] == {"nfev": 392, "frame_xi": None}
+        ref = _fixed_frame_batch(re, _drawn_starts(re, 3, 7), horizon, 1e-10, 1e-12)
+        assert [t["escape_time"] for t in report["trials"]] == [
+            float(te[1][0]) for te in ref.t_events]
+
+    def test_escape_times_no_worse_than_the_fixed_frame(self):
+        # against a fixed-frame run at rel_tol 1e-13, abs_tol 1e-15 from the
+        # same starts; the period is 41.6 and every trial escapes in it
+        re = _equal_mass_elliptic(u=0.8)
+        horizon = 20.0 * re.period
+        starts = _drawn_starts(re, 20, _AC10_SEED)
+        ref = _fixed_frame_batch(re, starts, horizon, 1e-13, 1e-15)
+        fixed = _fixed_frame_batch(re, starts, horizon, 1e-10, 1e-12)
+        report = perturb_and_measure(PerturbationExperiment(re, 1e-4, 20, horizon, _AC10_SEED))
+        assert report["n_escaped"] == 20
+        assert all(len(te[1]) == 1 for te in ref.t_events + fixed.t_events)
+        t_ref = np.array([te[1][0] for te in ref.t_events])
+        t_fixed = np.array([te[1][0] for te in fixed.t_events])
+        t_moving = np.array([t["escape_time"] for t in report["trials"]])
+        assert np.max(np.abs(t_moving - t_ref)) <= np.max(np.abs(t_fixed - t_ref))
+
+    def test_stable_trials_match_a_tight_fixed_frame_run(self, monkeypatch):
+        # the samples are the accepted steps, about 4 times fewer than in
+        # the chart, so the largest separation change is sampled less
+        # finely; the end states, where every run lands, show the rebuild
+        rebuilt = _record_rebuilds(monkeypatch)
+        re = _equal_mass_elliptic(u=0.4)
+        horizon = 20.0 * re.period
+        starts = _drawn_starts(re, 10, _AC10_SEED)
+        ref = _fixed_frame_batch(re, starts, horizon, 1e-13, 1e-15)
+        fixed = _fixed_frame_batch(re, starts, horizon, 1e-10, 1e-12)
+        report = perturb_and_measure(PerturbationExperiment(re, 1e-4, 10, horizon, _AC10_SEED))
+        assert ref.status == fixed.status == [0] * 10
+        r0 = float(re.distance)
+        for trial, y_ref in zip(report["trials"], ref.y):
+            dev_ref = float(np.max(np.abs(separation(*y_ref[:4]) - r0)))
+            assert trial["max_distance_deviation"] == pytest.approx(dev_ref, rel=1e-2, abs=0.0)
+        end_ref = np.array([y[:, -1] for y in ref.y])
+        moving_error = np.max(np.abs(np.array([s[:, -1] for s in rebuilt]) - end_ref))
+        fixed_error = np.max(np.abs(np.array([y[:, -1] for y in fixed.y]) - end_ref))
+        assert moving_error <= fixed_error
