@@ -57,6 +57,7 @@ from .sim import (
     conservation_report,
     integrate,
     perturb_and_measure,
+    record_from_states,
     write_trajectory_csv,
 )
 
@@ -168,6 +169,14 @@ def cmd_simulate(args) -> int:
         state = phase_state(*coords)
     except (ValueError, H2BodyError) as exc:
         raise ScenarioError(f"invalid initial state: {exc}") from exc
+    # the report gives the drift of each; one that overflows has none
+    with np.errstate(all="ignore"):
+        start = record_from_states([0.0], [state.as_array()], params)
+    if not (np.isfinite(start.energy).all() and np.isfinite(start.momentum).all()):
+        raise ScenarioError(
+            f"invalid initial state: energy {float(start.energy[0])!r}, momentum "
+            f"{start.momentum[0].tolist()!r}; both must be finite"
+        )
     optional = ("rel_tol", "abs_tol", "sample_dt")
     config = IntegratorConfig(**_positive_numbers(scenario, "integrator", ("t_end",), optional))
 

@@ -10,11 +10,15 @@ once per stage for all columns still running, which is how the
 perturbation trials run (an elliptic equilibrium's in the frame that
 rotates with it); a lone state of shape (8,) runs as a batch of
 one, so the field sees it as (8, 1). A run sampled on a time grid is one
-trajectory in a loop of its own that clips each step to end on the next
-sample time, so every sample is a step's end point and none is
-interpolated. That loop keeps its stages in one matrix, the state as
-row 0, and scales the weights by h, so a stage is one matrix product;
-the batch keeps the rounding of each column independent of the others.
+trajectory in a loop of its own. In the chart it clips each step to end
+on the next sample time, so every sample is a step's end point and none
+is interpolated. A start nearly at rest in the frame that rotates with
+its locked velocity runs in that frame instead, with free steps and its
+samples read off each step's interpolant, until a step ends far from
+rest; the samples are carried back to the chart exactly. That loop keeps
+its stages in one matrix, the state as row 0, and scales the weights by
+h, so a stage is one matrix product; the batch keeps the rounding of
+each column independent of the others.
 Neither loop caps the step, and both stop a trajectory at the first root
 of any event: every event is terminal. Trajectories are sampled on a
 uniform grid and carried around as plain arrays together with their
@@ -27,7 +31,9 @@ global random state.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import add, sub
 
 import numpy as np
 
@@ -43,10 +49,12 @@ from .dynamics import (
     _momentum,
     _potential,
     _require_positive,
+    locked_inertia,
+    momentum_map,
 )
 from .equilibria import Family, RelativeEquilibrium, analytic_states, initial_state
 from .geom import separation
-from .liegroup import flow_entries
+from .liegroup import AlgebraElement, ElementType, classify, flow_entries
 
 _CSV_SCHEMA = "#schema=v1"
 _CSV_COLUMNS = "t,x1,y1,x2,y2,px1,py1,px2,py2,energy,Jh,Je,Jp,dist"
@@ -159,8 +167,9 @@ class TrajectoryRecord:
     attached to integration failures, with the reason in ``error``.
     ``stats`` holds the integrator's counters for records that integrate()
     made: field calls ``nfev``, ``accepted`` and ``rejected`` steps,
-    interpolants built (``dense``), and the smallest and largest accepted
-    step (``h_min``, ``h_max``).
+    interpolants built (``dense``), the smallest and largest accepted
+    step (``h_min``, ``h_max``), and the frame the run started in
+    (``frame_xi``) and the time it left it (``left_frame_at``).
     """
 
     t: np.ndarray
@@ -407,9 +416,12 @@ class OdeResult:
     the end of the span, 1 after an event and -1 on step underflow.
     ``accepted`` and ``rejected`` count steps, ``dense`` the interpolants
     built, and ``h_min`` and ``h_max`` bound the accepted steps (None if
-    there is none). For a batch every field but ``nfev`` is a list with
-    one such entry per row. ``nfev`` counts the calls of ``fun``, each of
-    which evaluates every row it is given.
+    there is none). ``frame_xi`` is the algebra element of the moving
+    frame a sampled run started in (see solve_ivp), and ``left_frame_at``
+    the time it left that frame; each is None where there is none, and a
+    batch always runs as given. For a batch every field but ``nfev`` is a
+    list with one such entry per row. ``nfev`` counts the calls of
+    ``fun``, each of which evaluates every row it is given.
     """
 
     t: object
@@ -423,6 +435,8 @@ class OdeResult:
     dense: object
     h_min: object
     h_max: object
+    frame_xi: object
+    left_frame_at: object
     nfev: int
 
 
@@ -556,8 +570,25 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, events=()):
     landing does not shorten the steps that follow. A grid finer than the
     controller's step makes every step one sample, at 12 calls a sample.
     Sampling the interpolant inside longer steps would take fewer calls,
-    but it errs by up to about the tolerance: one period on a grid of 256
-    then drifts 2.6e-10 in the conserved quantities, against 1e-15 landing.
+    but in the chart it errs by up to about the tolerance: one period on a
+    grid of 256 then drifts 2.6e-10 in the conserved quantities, against
+    1e-15 landing.
+
+    A sampled ``fun`` of the two-body phase space may carry a ``frame``
+    attribute: an elliptic algebra element xi under whose flow fun and
+    the events are invariant. If the start is nearly at rest in the frame
+    that moves with xi, |fun - X_xi| <= _AT_REST |fun| at y0, the loop
+    integrates z~' = fun(z~) - X_xi(z~) for z~(t) = exp(-t xi) z(t) there,
+    at one call of fun a stage; otherwise the run is the chart's, call for
+    call. In the frame the steps run freely and the samples inside a step
+    are read off its interpolant, at 3 more calls for a step that holds
+    any. The motion there is slow, so the interpolant errs far below the
+    tolerance: one period at tanh d1 = 0.4 on a grid of 256 takes 32 calls
+    and drifts 2e-14. The first accepted step that ends away from rest
+    ends the frame; the run goes on from that state, carried back to the
+    chart, as a fresh run (2 more calls) landing on the remaining samples.
+    The states returned are chart states, carried back exactly by
+    exp(t xi), and ``frame_xi`` and ``left_frame_at`` say what happened.
     """
     t0, t_bound = float(t_span[0]), float(t_span[1])
     y0 = np.array(y0, dtype=float)
@@ -579,11 +610,44 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, events=()):
     return _solve_batch(fun, t0, t_bound, y0, rtol, atol, events)
 
 
+# the largest |X_H - X_xi| / |X_H| at which a state counts as nearly at
+# rest in the frame of xi: a sampled run enters the frame only from such a
+# start and leaves it at the first accepted step that ends elsewhere
+_AT_REST = 1e-3
+
+
+def _at_rest(residual, field):
+    """Whether |residual| <= _AT_REST |field|, both finite, for the
+    residual X_H - X_xi and the field X_H at one state as lists."""
+    bound = _AT_REST * math.hypot(*field)
+    return math.hypot(*residual) <= bound < math.inf
+
+
+def _to_chart(xi, t, z):
+    """States z of the frame of xi, (8,) at a time t or (8, m) at m times,
+    carried back to the chart by exp(t xi)."""
+    return np.array(_act_phase(*flow_entries(xi, t), z))
+
+
 def _solve_sampled(fun, t, t_bound, y, rtol, atol, t_eval, events):
-    """DOP853 on one trajectory, each step clipped to end on the next
-    sample time of t_eval, so that every sample is a step's end point."""
+    """DOP853 on one trajectory sampled at t_eval: in the chart each step
+    is clipped to end on the next sample time, so that every sample is a
+    step's end point; in the frame of fun.frame the steps run freely and
+    the samples inside a step come from its interpolant."""
     f = fun(t, y)
-    h_abs = float(_initial_step(fun, t, y, f, t_bound - t, rtol, atol))
+    rhs, xi = fun, getattr(fun, "frame", None)
+    if xi is not None:
+        field = f.tolist()
+        residual = list(map(sub, field, _generator_lift(xi, y.tolist()).tolist()))
+        if _at_rest(residual, field):
+            f = np.array(residual)
+
+            def rhs(t, z):
+                return fun(t, z) - _generator_lift(xi, z.tolist())
+        else:
+            xi = None
+    frame_xi, left_frame_at = xi, None
+    h_abs = float(_initial_step(rhs, t, y, f, t_bound - t, rtol, atol))
     nfev, accepted, rejected, dense = 2, 0, 0, 0
     h_min, h_max = math.inf, 0.0
     g = [ev(t, y) for ev in events]
@@ -600,7 +664,8 @@ def _solve_sampled(fun, t, t_bound, y, rtol, atol, t_eval, events):
             i_eval += 1
         if status is not None:
             break
-        t_stop = min(samples[i_eval], t_bound) if i_eval < len(samples) else t_bound
+        # in the chart each step ends on the next sample; in the frame, freely
+        t_stop = min(samples[i_eval], t_bound) if xi is None and i_eval < len(samples) else t_bound
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
@@ -608,7 +673,7 @@ def _solve_sampled(fun, t, t_bound, y, rtol, atol, t_eval, events):
         while h_abs >= min_step:
             t_new = min(t + h_abs, t_stop)
             h = t_new - t
-            y_new, stages, err = _lone_step(fun, t, y, f, h, rtol, atol)
+            y_new, stages, err = _lone_step(rhs, t, y, f, h, rtol, atol)
             nfev += _N_STAGES
             if err < 1:
                 factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT)
@@ -629,21 +694,46 @@ def _solve_sampled(fun, t, t_bound, y, rtol, atol, t_eval, events):
         t_out = t
         if t >= t_bound:
             status = 0
-        if events:
-            g_new = [ev(t, y) for ev in events]
-            if any(_crossed(a, b, getattr(ev, "direction", 0)) for a, b, ev in zip(g, g_new, events)):
-                _fill(fun, t_old, y_old, h, ks, _EXTRA)
-                nfev += len(_EXTRA)
-                dense += 1
-                sol = _interpolant(t_old, h, y_old, y, ks)
-                t_out, e = _fire(events, g, g_new, sol, t_old, t)
-                t_events[e].append(t_out)
-                y_events[e].append(sol(t_out))
-                status = 1
-            g = g_new
+        g_new = [ev(t, y) for ev in events]
+        hit = any(_crossed(a, b, getattr(ev, "direction", 0)) for a, b, ev in zip(g, g_new, events))
+        # in the frame, the samples inside the step come from its interpolant
+        i_end = i_eval if xi is None else bisect_left(samples, t, i_eval)
+        if hit or i_end > i_eval:
+            _fill(rhs, t_old, y_old, h, ks, _EXTRA)
+            nfev += len(_EXTRA)
+            dense += 1
+            sol = _interpolant(t_old, h, y_old, y, ks)
+        if hit:
+            t_out, e = _fire(events, g, g_new, sol, t_old, t)
+            y_out = sol(t_out)
+            t_events[e].append(t_out)
+            y_events[e].append(y_out if xi is None else _to_chart(xi, t_out, y_out))
+            status = 1
+            i_end = min(i_end, bisect_right(samples, t_out, i_eval))
+        g = g_new
+        if i_end > i_eval:
+            ts.extend(samples[i_eval:i_end])
+            ys.extend(sol(np.array(samples[i_eval:i_end])[:, None]))
+            i_eval = i_end
+        if xi is None or status is not None:
+            continue
+        residual = f.tolist()
+        lift = _generator_lift(xi, y.tolist()).tolist()
+        if not _at_rest(residual, list(map(add, residual, lift))):
+            # carry the run back to the chart and start it afresh there
+            ys = list(_to_chart(xi, np.array(ts), np.reshape(ys, (-1, y.size)).T).T)
+            y = _to_chart(xi, t, y)
+            rhs, xi, left_frame_at = fun, None, t
+            f = fun(t, y)
+            h_abs = float(_initial_step(fun, t, y, f, t_bound - t, rtol, atol))
+            nfev += 2
+            g = [ev(t, y) for ev in events]
+    ts, states = np.array(ts), np.reshape(ys, (-1, y.size)).T
+    if xi is not None:
+        states = _to_chart(xi, ts, states)
     return OdeResult(
-        t=np.array(ts),
-        y=np.array(ys).reshape(-1, y.size).T,
+        t=ts,
+        y=states,
         t_events=[np.array(te) for te in t_events],
         y_events=[np.array(ye) for ye in y_events],
         status=status,
@@ -653,6 +743,8 @@ def _solve_sampled(fun, t, t_bound, y, rtol, atol, t_eval, events):
         dense=dense,
         h_min=float(h_min) if accepted else None,
         h_max=float(h_max) if accepted else None,
+        frame_xi=frame_xi,
+        left_frame_at=left_frame_at,
         nfev=nfev,
     )
 
@@ -772,6 +864,8 @@ def _solve_batch(fun, t0, t_bound, y, rtol, atol, events):
         dense=dense.tolist(),
         h_min=[float(a) if k else None for a, k in zip(h_min, accepted)],
         h_max=[float(b) if k else None for b, k in zip(h_max, accepted)],
+        frame_xi=[None] * size,
+        left_frame_at=[None] * size,
         nfev=nfev,
     )
 
@@ -792,25 +886,48 @@ _collision_event.terminal = True
 _collision_event.direction = -1
 
 
+def _locked_velocity(state: PhaseState, params: Params) -> AlgebraElement | None:
+    """The locked velocity xi0 = II(q)^-1 J(z) of a state, the generator
+    whose flow moves it most nearly as a rigid body, if it is finite and
+    elliptic; None otherwise, including where it cannot be computed."""
+    try:
+        with np.errstate(all="ignore"):
+            ii = locked_inertia(state.config, params)
+            xi = np.linalg.solve(ii, momentum_map(state).coords())
+        if not np.all(np.isfinite(xi)):
+            return None
+        xi = AlgebraElement(*xi.tolist())
+        return xi if classify(xi).type is ElementType.ELLIPTIC else None
+    except (ArithmeticError, np.linalg.LinAlgError):
+        return None
+
+
 def integrate(
     state: PhaseState, params: Params, config: IntegratorConfig
 ) -> TrajectoryRecord:
     """Integrate the equations of motion over [0, t_end].
 
-    Adaptive DOP853 with the configured tolerances, its steps landing on
-    the uniform grid of sample_dt (t_end / 256 when unset). A separation
-    crossing the collision cutoff terminates the run and raises
-    CollisionDuringIntegration carrying the partial record; a step size
-    underflow raises StepSizeUnderflow the same way. The record's stats
-    hold the engine's counters: field evaluations, accepted and rejected
-    steps, interpolants built (only to locate a collision) and the
-    smallest and largest accepted step.
+    Adaptive DOP853 with the configured tolerances, sampled on the uniform
+    grid of sample_dt (t_end / 256 when unset). A start whose locked
+    velocity xi0 is elliptic and which is nearly at rest in the frame that
+    rotates with xi0 runs in that frame (see solve_ivp), with its samples
+    read off the interpolant, until a step ends far from rest; any other
+    run, and the rest of one that left the frame, lands its steps on the
+    grid in the chart. A separation crossing the collision cutoff
+    terminates the run and raises CollisionDuringIntegration carrying the
+    partial record; a step size underflow raises StepSizeUnderflow the
+    same way. The record's stats hold the engine's counters: field
+    evaluations, accepted and rejected steps, interpolants built and the
+    smallest and largest accepted step, then ``frame_xi``, the generator
+    [E, H, P] of the frame the run started in (None in the chart), and
+    ``left_frame_at``, the time it left that frame (None if it did not).
     """
     m1, m2, k = params.m1, params.m2, params.k
 
     def rhs(t, z):
         return _field_array(z, m1, m2, k)
 
+    rhs.frame = _locked_velocity(state, params)
     sol = solve_ivp(
         rhs,
         (0.0, config.t_end),
@@ -822,7 +939,10 @@ def integrate(
     )
     ts = sol.t
     states = sol.y.T
+    xi = sol.frame_xi
     stats = {key: getattr(sol, key) for key in _STATS}
+    stats["frame_xi"] = None if xi is None else [xi.E, xi.H, xi.P]
+    stats["left_frame_at"] = sol.left_frame_at
     if sol.status == 1:
         # append the event sample so the partial record ends at impact
         ts = np.append(ts, sol.t_events[0][0])
@@ -1017,7 +1137,7 @@ def perturb_and_measure(experiment: PerturbationExperiment) -> dict:
         # carried back to the chart by the flow of the frame
         states = sol.y[i]
         if frame is not None:
-            states = np.array(_act_phase(*flow_entries(frame, sol.t[i]), states))
+            states = _to_chart(frame, sol.t[i], states)
         error = "collision" if collided else "step_underflow" if sol.status[i] < 0 else None
         trials.append({
             "trial": i,

@@ -34,6 +34,11 @@ def write_json(path, doc):
     return str(path)
 
 
+# the start of README's simulate example
+README_START = {"x1": 0.4, "y1": 0.9, "x2": -0.5, "y2": 0.8,
+                "px1": 0.0, "py1": 0.3, "px2": 0.0, "py2": -0.3}
+
+
 def simulate_scenario(tmp_path, **overrides):
     re = build_relative_equilibrium(Family.ELLIPTIC, 0.5, Params(1.0, 1.0, 1.0))
     z = initial_state(re).as_array()
@@ -511,16 +516,57 @@ class TestSimulateCommand:
         assert "cannot read scenario" in err
 
     def test_conservation_report_carries_counters(self, capsys, tmp_path):
-        scenario, _ = simulate_scenario(tmp_path)
+        # README's start, which is far from rest in any frame
+        scenario, _ = simulate_scenario(tmp_path, initial_state=README_START)
         outdir = tmp_path / "out"
         assert run(capsys, "simulate", "--scenario", scenario, "--out", str(outdir))[0] == 0
         stats = json.loads((outdir / "conservation.json").read_text())["stats"]
-        assert set(stats) == {"nfev", "accepted", "rejected", "dense", "h_min", "h_max"}
+        assert set(stats) == {"nfev", "accepted", "rejected", "dense", "h_min", "h_max",
+                              "frame_xi", "left_frame_at"}
+        assert stats["frame_xi"] is None and stats["left_frame_at"] is None
         # DOP853: two field calls choose the first step, then twelve per
-        # attempted step and three per interpolant, which only an event builds
+        # attempted step and three per interpolant, which in the chart only
+        # an event builds
         assert stats["nfev"] == 2 + 12 * (stats["accepted"] + stats["rejected"]) + 3 * stats["dense"]
         assert stats["dense"] == 0
         assert 0.0 < stats["h_min"] <= stats["h_max"]
+
+    def test_conservation_report_names_the_frame(self, capsys, tmp_path):
+        # an equilibrium start runs in the frame of its generator, reading
+        # its samples off an interpolant built in each step that holds any
+        scenario, re = simulate_scenario(tmp_path)
+        outdir = tmp_path / "out"
+        assert run(capsys, "simulate", "--scenario", scenario, "--out", str(outdir))[0] == 0
+        stats = json.loads((outdir / "conservation.json").read_text())["stats"]
+        assert stats["frame_xi"] == pytest.approx(
+            [re.xi.E, re.xi.H, re.xi.P], rel=1e-14, abs=1e-15)
+        assert stats["left_frame_at"] is None
+        assert stats["nfev"] == 2 + 12 * (stats["accepted"] + stats["rejected"]) + 3 * stats["dense"]
+        assert 0 < stats["dense"] <= stats["accepted"]
+
+    @pytest.mark.parametrize("key, value", [("px1", 1e200), ("y1", 1e300)])
+    def test_start_with_overflowing_energy_exits_2(self, capsys, tmp_path, key, value):
+        scenario, _ = simulate_scenario(tmp_path, initial_state={**README_START, key: value})
+        outdir = tmp_path / "out"
+        code, out, err = run(capsys, "simulate", "--scenario", scenario, "--out", str(outdir))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: invalid initial state: energy ")
+        assert err.count("\n") == 1
+        assert not outdir.exists()
+
+    def test_start_without_a_finite_locked_velocity_runs(self, capsys, tmp_path):
+        # a body at y = 1e-300 has no finite locked inertia, so the run
+        # stays in the chart
+        scenario, _ = simulate_scenario(
+            tmp_path, initial_state={**README_START, "y1": 1e-300},
+            integrator={"t_end": 20.0, "sample_dt": 0.1})
+        outdir = tmp_path / "out"
+        assert run(capsys, "simulate", "--scenario", scenario, "--out", str(outdir))[0] == 0
+        report = json.loads((outdir / "conservation.json").read_text())
+        assert report["completed"] is True
+        assert report["stats"]["frame_xi"] is None
+        assert report["stats"]["nfev"] == 2414
 
     def test_step_underflow_exits_4_with_partial_record(self, capsys, tmp_path, monkeypatch):
         # a field that blows up in finite time (y' = y^2 in every entry, so
@@ -1116,6 +1162,10 @@ def test_readme_scenario_examples_run(capsys, tmp_path):
         out = ["--out", str(tmp_path / "out")] if mode == "simulate" else []
         code, _, err = run(capsys, mode, "--scenario", str(scenario), *out)
         assert code == 0, err
+    # the simulate example starts far from rest in any frame
+    assert json.loads(blocks[0])["initial_state"] == README_START
+    stats = json.loads((tmp_path / "out" / "conservation.json").read_text())["stats"]
+    assert stats["frame_xi"] is None and stats["left_frame_at"] is None
 
 
 def test_readme_python_examples_run(capsys):

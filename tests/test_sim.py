@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 
+from conftest import random_config_state
+
 import h2body.sim as sim_mod
 from h2body import (
     CollisionDuringIntegration,
@@ -33,11 +35,20 @@ from h2body import (
 )
 from h2body.dynamics import _field_array
 from h2body.geom import separation
+from h2body.stability import threshold
 
 
 def _equal_mass_elliptic(u=0.4, k=1.0, sign=1):
     d1 = math.atanh(u)
     return build_relative_equilibrium(Family.ELLIPTIC, d1, Params(1.0, 1.0, k), sign=sign)
+
+
+def _unstable_kicked_start():
+    """An unstable equilibrium (tanh d1 = 0.8, equal masses) kicked by 1e-4
+    times a standard normal, numpy seed 0, with its params."""
+    re = _equal_mass_elliptic(u=0.8)
+    kick = 1e-4 * np.random.default_rng(0).standard_normal(8)
+    return PhaseState.from_array(initial_state(re).as_array() + kick), re.params
 
 
 def _kicked_bound_state(re, size=1e-2):
@@ -313,21 +324,133 @@ class TestIntegrate:
         assert loose > 10.0 * tight
 
     def test_steps_land_on_a_grid_finer_than_the_step(self):
-        # 256 samples a period is finer than the controller's step, so each
-        # step is one sample: twelve field calls a sample, no interpolant
+        # in the chart 256 samples a period is finer than the controller's
+        # step, so each step is one sample: twelve field calls a sample, no
+        # interpolant (a kicked start is not at rest in a rotating frame)
         re = _equal_mass_elliptic()
         cfg = IntegratorConfig(t_end=re.period)
-        rec = integrate(initial_state(re), re.params, cfg)
+        rec = integrate(_kicked_bound_state(re), re.params, cfg)
+        assert rec.stats["frame_xi"] is None
         np.testing.assert_array_equal(rec.t, cfg.sample_times())
         assert rec.stats["nfev"] == 2 + 12 * 256
         assert (rec.stats["accepted"], rec.stats["rejected"], rec.stats["dense"]) == (256, 0, 0)
         assert max(conservation_report(rec).values()) < 1e-13
+
+    def test_frame_steps_run_free_of_the_grid(self):
+        # at rest in the rotating frame the steps span many samples, which
+        # are read off each step's interpolant at three more field calls
+        re = _equal_mass_elliptic()
+        cfg = IntegratorConfig(t_end=re.period)
+        rec = integrate(initial_state(re), re.params, cfg)
+        assert rec.stats["frame_xi"] == pytest.approx(
+            [re.xi.E, re.xi.H, re.xi.P], rel=1e-14, abs=1e-15)
+        assert rec.stats["left_frame_at"] is None
+        np.testing.assert_array_equal(rec.t, cfg.sample_times())
+        assert rec.states[0].tobytes() == initial_state(re).as_array().tobytes()
+        assert rec.stats["nfev"] <= (2 + 12 * 256) / 10
+        assert rec.stats["dense"] == rec.stats["accepted"]
+        assert max(conservation_report(rec).values()) < 1e-13
+        assert sim_mod._max_chart_deviation(re, rec.t, rec.states) < 1e-12
 
     def test_hyperbolic_family_tracked_too(self):
         params = Params(1.0, 1.0)
         re = build_relative_equilibrium(Family.HYPERBOLIC, 0.5, params)
         dev = compare_analytic(re, IntegratorConfig(t_end=2.0))
         assert dev < 1e-6
+
+
+class TestSampledFrame:
+    """integrate runs a start nearly at rest in the frame of its locked
+    velocity there, reading its samples off the interpolant, and goes back
+    to the chart once a step ends far from rest."""
+
+    @pytest.mark.parametrize("c, drift_j", [(0.5, 4.1e-11), (2.0, 1.7e-10)])
+    def test_long_stable_orbit(self, c, drift_j):
+        # the settings of the orbit_long benchmark without its jitter: 100
+        # periods at 50 samples a period, tanh d1 at 0.6 of the threshold;
+        # landing in the chart took 60,014 field calls at c = 0.5 and gave
+        # |dJ| 4.1e-11 and 1.7e-10
+        d1 = math.atanh(0.6 * threshold(c).u0)
+        re = build_relative_equilibrium(Family.ELLIPTIC, d1, Params(c, 1.0, 1.0))
+        cfg = IntegratorConfig(t_end=100.0 * re.period, sample_dt=re.period / 50.0)
+        rec = integrate(initial_state(re), re.params, cfg)
+        assert rec.stats["left_frame_at"] is None
+        assert rec.t.size == 5001
+        assert rec.stats["nfev"] <= 6001
+        assert sim_mod._max_chart_deviation(re, rec.t, rec.states) <= 1e-8
+        drift = conservation_report(rec)
+        assert drift["energy"] <= 1e-12
+        assert max(drift["Jh"], drift["Je"], drift["Jp"]) <= drift_j
+
+    def test_start_that_wanders_off_leaves_the_frame(self):
+        # an unstable equilibrium's kick grows until the rotating frame no
+        # longer pays; the rest of the run lands in the chart, as a chart
+        # run from that start would (5.25e-10 drift there)
+        state, params = _unstable_kicked_start()
+        period = _equal_mass_elliptic(u=0.8).period
+        cfg = IntegratorConfig(t_end=20.0 * period)
+        rec = integrate(state, params, cfg)
+        assert rec.completed
+        np.testing.assert_array_equal(rec.t, cfg.sample_times())
+        assert 0.0 < rec.stats["left_frame_at"] < period
+        assert max(conservation_report(rec).values()) < 1e-9
+
+    def test_event_in_the_frame_is_located_and_carried_back(self):
+        # the separation leaves a band of 3e-4 about its start at t = 2.05,
+        # before the run leaves the frame; against a chart run at rel_tol
+        # 1e-13 (measured: 3e-8 in time, 4e-9 in the state, 1e-11 sampled)
+        state, _ = _unstable_kicked_start()
+        z0 = state.as_array()
+        d0 = float(separation(*z0[:4]))
+
+        def band(t, z):
+            return abs(separation(z[0], z[1], z[2], z[3]) - d0) - 3e-4
+
+        def rhs(t, z):
+            return sim_mod._field_array(z, 1.0, 1.0, 1.0)
+
+        def run(frame, rtol, atol):
+            rhs.frame = frame
+            return sim_mod.solve_ivp(rhs, (0.0, 20.0), z0, rtol=rtol, atol=atol,
+                                     t_eval=np.linspace(0.0, 20.0, 201), events=band)
+
+        ref = run(None, 1e-13, 1e-15)
+        sol = run(sim_mod._locked_velocity(state, Params(1.0, 1.0)), 1e-10, 1e-12)
+        assert sol.frame_xi is not None and sol.left_frame_at is None
+        assert sol.status == ref.status == 1
+        assert abs(sol.t_events[0][0] - ref.t_events[0][0]) < 1e-7
+        assert np.max(np.abs(sol.y_events[0] - ref.y_events[0])) < 1e-8
+        np.testing.assert_array_equal(sol.t, ref.t)
+        assert np.max(np.abs(sol.y - ref.y)) < 1e-10
+
+    def test_generic_starts_stay_in_the_chart(self):
+        # the first 53 draws of AC-01, which hold its 20 accepted ones, and
+        # README's simulate example are far from rest in any frame
+        rng = np.random.default_rng(20260816)
+        starts = [random_config_state(rng, min_sep=0.7) for _ in range(53)]
+        starts.append((phase_state(0.4, 0.9, -0.5, 0.8, 0.0, 0.3, 0.0, -0.3), Params(1.0, 1.0)))
+        cfg = IntegratorConfig(t_end=1e-3, sample_dt=1e-3)
+        for state, params in starts:
+            assert integrate(state, params, cfg).stats["frame_xi"] is None
+
+    @pytest.mark.parametrize("z", [
+        (0.4, 1e-300, -0.5, 0.8, 0.0, 0.3, 0.0, -0.3),
+        (0.4, 0.9, -0.5, 0.8, 1e200, 0.3, 0.0, -0.3),
+        (0.4, 1e300, -0.5, 0.8, 0.0, 0.3, 0.0, -0.3),
+    ])
+    def test_frame_choice_never_raises(self, z):
+        assert sim_mod._locked_velocity(phase_state(*z), Params(1.0, 1.0)) is None
+
+    def test_unresolved_frame_runs_as_the_chart(self, monkeypatch):
+        # a body at y = 1e-300 has no finite locked inertia; the run is the
+        # chart's bit for bit
+        state = phase_state(0.4, 1e-300, -0.5, 0.8, 0.0, 0.3, 0.0, -0.3)
+        cfg = IntegratorConfig(t_end=20.0, sample_dt=0.1)
+        rec = integrate(state, Params(1.0, 1.0), cfg)
+        monkeypatch.setattr(sim_mod, "_locked_velocity", lambda state, params: None)
+        chart = integrate(state, Params(1.0, 1.0), cfg)
+        assert rec.states.tobytes() == chart.states.tobytes()
+        assert rec.stats == chart.stats
 
 
 class TestPerturbation:
@@ -623,9 +746,11 @@ class TestCounters:
     def test_integrate_stats(self, monkeypatch):
         calls = self._count_field_calls(monkeypatch)
         re = _equal_mass_elliptic()
-        rec = integrate(initial_state(re), re.params, IntegratorConfig(t_end=re.period))
+        rec = integrate(_kicked_bound_state(re), re.params, IntegratorConfig(t_end=re.period))
         stats = rec.stats
-        assert set(stats) == {"nfev", "accepted", "rejected", "dense", "h_min", "h_max"}
+        assert set(stats) == {"nfev", "accepted", "rejected", "dense", "h_min", "h_max",
+                              "frame_xi", "left_frame_at"}
+        assert stats["frame_xi"] is None and stats["left_frame_at"] is None
         assert stats["nfev"] == len(calls)
         # DOP853: two calls choose the first step, then twelve per attempted
         # step and three per interpolant, which only an event builds
@@ -633,6 +758,30 @@ class TestCounters:
         assert stats["dense"] == 0
         # the accepted steps tile [0, t_end], so their mean lies between the bounds
         assert 0.0 < stats["h_min"] <= re.period / stats["accepted"] <= stats["h_max"]
+
+    def test_integrate_stats_in_the_frame(self, monkeypatch):
+        calls = self._count_field_calls(monkeypatch)
+        re = _equal_mass_elliptic()
+        rec = integrate(initial_state(re), re.params, IntegratorConfig(t_end=3.0 * re.period))
+        stats = rec.stats
+        assert stats["frame_xi"] is not None and stats["left_frame_at"] is None
+        # each stage calls the field once, and so does each of the three
+        # stages of an interpolant, built for every step that holds samples
+        assert stats["nfev"] == len(calls)
+        assert stats["nfev"] == 2 + 12 * (stats["accepted"] + stats["rejected"]) + 3 * stats["dense"]
+        assert 0 < stats["dense"] <= stats["accepted"]
+        assert 0.0 < stats["h_min"] <= 3.0 * re.period / stats["accepted"] <= stats["h_max"]
+
+    def test_integrate_stats_across_a_frame_exit(self, monkeypatch):
+        # the exit test reads the step's last stage, and the chart run that
+        # follows chooses its first step afresh, at two more calls
+        calls = self._count_field_calls(monkeypatch)
+        rec = integrate(*_unstable_kicked_start(), IntegratorConfig(t_end=8.0))
+        stats = rec.stats
+        assert stats["frame_xi"] is not None and 0.0 < stats["left_frame_at"] < 8.0
+        assert stats["nfev"] == len(calls)
+        assert stats["nfev"] == (
+            2 + 12 * (stats["accepted"] + stats["rejected"]) + 3 * stats["dense"] + 2)
 
     def test_lone_run_stats(self, monkeypatch):
         calls = self._count_field_calls(monkeypatch)
