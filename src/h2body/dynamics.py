@@ -231,6 +231,47 @@ def _generator_lift(xi: AlgebraElement, z):
     )
 
 
+# The lift is a quadratic polynomial in the state with coefficients fixed
+# by xi. Its basis is the 8 state rows followed by 14 monomials, per body
+# y^2, x^2, x y, y py, x px, y px and x py, each a product of two state rows.
+_LIFT_MONOMIALS = np.array([
+    (1, 1), (0, 0), (0, 1), (1, 5), (0, 4), (1, 4), (0, 5),
+    (3, 3), (2, 2), (2, 3), (3, 7), (2, 6), (3, 6), (2, 7),
+]).T
+# each row of the lift is three terms, term i of row j being a coefficient
+# times basis row _LIFT_TERMS[i, j]; a gy row's third coefficient is 0
+_LIFT_TERMS = np.array([
+    [8, 10, 15, 17, 11, 14, 18, 21],
+    [9, 1, 16, 3, 12, 13, 19, 20],
+    [0, 1, 2, 3, 4, 5, 6, 7],
+])
+
+
+def _generator_lift_table(xi: AlgebraElement):
+    """_generator_lift of xi as a function of (8, N) states, its
+    coefficients tabulated once. An evaluation is a few elementwise numpy
+    calls, with no reduction, so each column rounds as it would alone; the
+    sums are associated differently from _generator_lift, which stays the
+    definition, so the two agree to rounding."""
+    e, h = xi.E, xi.H
+    coefficients = np.array([
+        [0.5 * e, -e, 0.5 * e, -e, e, e, e, e],
+        [-0.5 * e, h, -0.5 * e, h, e, -e, e, -e],
+        [h, 0.0, h, 0.0, -h, -h, -h, -h],
+    ])[:, :, None]
+    # the constant term of generator_field's gx
+    c = xi.P - 0.5 * e
+    constant = np.array([c, 0.0, c, 0.0, 0.0, 0.0, 0.0, 0.0])[:, None]
+    left, right = _LIFT_MONOMIALS
+
+    def lift(z):
+        basis = np.concatenate((z, z[left] * z[right]))
+        terms = basis[_LIFT_TERMS] * coefficients
+        return terms[0] + terms[1] + terms[2] + constant
+
+    return lift
+
+
 def velocity_vectors(state: PhaseState, params: Params):
     """Chart velocities obtained by raising the momenta with the cometric."""
     q1, q2 = state.config.q1, state.config.q2

@@ -39,7 +39,13 @@ from h2body import (
     velocity_vectors,
 )
 
-from h2body.dynamics import _act_phase, _field_array, _generator_lift, _potential_gradient
+from h2body.dynamics import (
+    _act_phase,
+    _field_array,
+    _generator_lift,
+    _generator_lift_table,
+    _potential_gradient,
+)
 from h2body.liegroup import flow_entries
 from h2body.stability import _inverse_apply
 
@@ -302,6 +308,24 @@ class TestArrayForms:
         lift = _generator_lift(xi, z)
         scale = np.max(np.abs(lift), axis=0) + 1e-300
         assert np.max(np.abs(moved.imag / step - lift) / scale) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "xi",
+        [*_FRAME_XIS.values(),
+         build_relative_equilibrium(Family.ELLIPTIC, math.atanh(0.4), Params(1.0, 1.0)).xi],
+        ids=[*(k.value for k in _FRAME_XIS), "ac10"],
+    )
+    def test_lift_table_matches_the_lift_column_by_column(self, rng, xi):
+        # the table sums the lift's terms in another order, so the two agree
+        # to rounding; each column rounds as it does alone, whatever N is
+        lift = _generator_lift_table(xi)
+        _, z = _columns(rng, 50)
+        got, ref = lift(z), _generator_lift(xi, z)
+        assert np.all(np.abs(got - ref) <= 1e-15 * np.max(np.abs(ref), axis=0))
+        for n in (1, 7, 50):
+            batch = lift(z[:, :n])
+            for j in range(n):
+                assert batch[:, j].tobytes() == lift(z[:, j:j + 1])[:, 0].tobytes()
 
     @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
     def test_equilibrium_is_at_rest_in_its_frame(self, family):

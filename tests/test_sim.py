@@ -882,6 +882,16 @@ class TestMovingFrame:
         assert report["stats"]["nfev"] <= 9170 / 3
         assert report["n_bounded"] == 10
 
+    @pytest.mark.parametrize("u, nfev, n_escaped", [(0.4, 2066, 0), (0.8, 527, 50)])
+    def test_ac10_batch_work_and_verdicts(self, u, nfev, n_escaped):
+        # pinned so that a rounding change in the frame's right-hand side
+        # that moves the step counts shows
+        re = _equal_mass_elliptic(u=u)
+        report = perturb_and_measure(
+            PerturbationExperiment(re, 1e-4, 50, 20.0 * re.period, _AC10_SEED))
+        assert report["stats"]["nfev"] == nfev
+        assert (report["n_escaped"], report["n_bounded"]) == (n_escaped, 50 - n_escaped)
+
     def test_hyperbolic_family_stays_in_the_chart(self):
         # a boosting frame loses there: trials that wander off the
         # equilibrium are dominated by the frame's own dilation
