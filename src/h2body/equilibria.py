@@ -323,11 +323,12 @@ def build_relative_equilibrium(
     d = d1 + d2
     num, den = 2.0 * params.k * params.m1, math.sinh(d) ** 2 * math.sinh(2.0 * d2)
     omega2 = num / den if den else 0.0
-    if omega2 == 0.0:
-        # the denominator or the quotient underflowed: no motion, no period
+    if not 0.0 < omega2 < math.inf:
+        # the denominator or the quotient underflowed (no motion, no period),
+        # or the quotient overflowed
         raise OutOfRange(
             "the rate is out of range: omega^2 = 2 k m1 / (sinh(d)^2 sinh(2 d2)) "
-            f"= {num!r} / {den!r} underflows"
+            f"= {num!r} / {den!r} {'overflows' if omega2 else 'underflows'}"
         )
     omega2_alt = 2.0 * params.k * params.m2 / (math.sinh(d) ** 2 * math.sinh(2.0 * d1))
     omega2_canonical = _omega2_canonical(d1, d2, params)

@@ -8,17 +8,17 @@ and event location. One loop runs a batch, states of shape (8, N) that
 keep a time, a step size and a status per column and evaluate the field
 once per stage for all columns still running, which is how the
 perturbation trials run (an elliptic equilibrium's in the frame that
-rotates with it); a lone state of shape (8,) runs as a batch of
-one, so the field sees it as (8, 1). A run sampled on a time grid is one
-trajectory in a loop of its own. In the chart it clips each step to end
-on the next sample time, so every sample is a step's end point and none
-is interpolated. A start nearly at rest in the frame that rotates with
-its locked velocity runs in that frame instead, with free steps and its
+rotates with it). A lone state of shape (8,) is a run sampled on a time
+grid, one trajectory in a loop of its own. In the chart it clips each
+step to end on the next sample time, so every sample is a step's end
+point and none is interpolated. A start nearly at rest in the frame
+that rotates with the generator it is given (simulate gives the start's
+locked velocity) runs in that frame instead, with free steps and its
 samples read off each step's interpolant, until a step ends far from
-rest; the samples are carried back to the chart exactly. That loop keeps
-its stages in one matrix, the state as row 0, and scales the weights by
-h, so a stage is one matrix product; the batch keeps the rounding of
-each column independent of the others.
+rest; the samples are carried back to the chart exactly. That loop
+keeps its stages in one matrix, the state as row 0, and scales the
+weights by h, so a stage is one matrix product; the batch keeps the
+rounding of each column independent of the others.
 Neither loop caps the step, and both stop a trajectory at the first root
 of any event: every event is terminal. Trajectories are sampled on a
 uniform grid and carried around as plain arrays together with their
@@ -411,18 +411,19 @@ def _interpolant(t_old, h, y_old, y, ks):
 class OdeResult:
     """What solve_ivp returns.
 
-    For one trajectory ``t`` has shape (m,), ``y`` shape (n, m), and
+    For a sampled trajectory ``t`` has shape (m,), ``y`` shape (n, m), and
     ``t_events[e]`` / ``y_events[e]`` hold the root of event e and the
     state there if it stopped the run, else nothing. ``status`` is 0 at
     the end of the span, 1 after an event and -1 on step underflow.
     ``accepted`` and ``rejected`` count steps, ``dense`` the interpolants
     built, and ``h_min`` and ``h_max`` bound the accepted steps (None if
-    there is none). ``frame_xi`` is the algebra element of the moving
-    frame a sampled run started in (see solve_ivp), and ``left_frame_at``
-    the time it left that frame; each is None where there is none, and a
-    batch always runs as given. For a batch every field but ``nfev`` is a
-    list with one such entry per row. ``nfev`` counts the calls of
-    ``fun``, each of which evaluates every row it is given.
+    there is none). For a batch every field but ``nfev``, ``frame_xi``
+    and ``left_frame_at`` is a list with one such entry per column, ``t``
+    holding the column's accepted step times. ``nfev`` counts the calls
+    of ``fun``, each of which evaluates every column it is given. Only a
+    sampled run sets ``frame_xi``, the generator of the rotating frame it
+    started in, and ``left_frame_at``, the time it left that frame; each
+    is None where there is none.
     """
 
     t: object
@@ -436,9 +437,9 @@ class OdeResult:
     dense: object
     h_min: object
     h_max: object
-    frame_xi: object
-    left_frame_at: object
     nfev: int
+    frame_xi: object = None
+    left_frame_at: object = None
 
 
 def _fill(fun, t, y, h, ks, rows):
@@ -537,19 +538,21 @@ def _fire(events, g, g_new, sol, t_old, t):
     )
 
 
-def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, events=()):
+def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, events=(), frame=None):
     """Integrate y' = fun(t, y) forward over t_span with DOP853, an
     adaptive Dormand-Prince 8(5,3) pair.
 
-    y0 of shape (n,) is one trajectory; (n, N) is a batch of N that keeps
-    a time, a step size and a status per column, calls fun once per stage
-    on the columns still running, and retires each column at the end of
-    the span, at an event or on step underflow. Without ``t_eval``
-    one trajectory runs as a batch of one: fun and the events receive
-    (n, 1) states and (1,) times, and the result is the batch's row 0. A
-    column of a batch goes through the same operations as that trajectory
-    run alone, so it does not depend on the other columns; the tests hold
-    the two equal bit for bit. A run with ``t_eval`` instead keeps a stage
+    The shape of y0 picks the loop. y0 of shape (n,) is one trajectory
+    sampled at the times ``t_eval``, which it needs; fun and the events
+    receive (n,) states and float times. y0 of shape (n, N) is a batch of
+    N that returns every accepted step of each column and takes neither
+    ``t_eval`` nor ``frame``. It keeps a time, a step size and a status
+    per column, calls fun once per stage on the columns still running
+    with (N,) times and (n, N) states, and retires each column at the end
+    of the span, at an event or on step underflow. A column goes through
+    the same operations whatever the other columns are, so it does not
+    depend on them; the tests hold a column equal bit for bit to the same
+    start run as a batch of one. The sampled loop instead keeps a stage
     matrix, the state as row 0 and the weights scaled by h, at one matrix
     product a stage, and so rounds differently from a batch.
 
@@ -557,33 +560,30 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, events=()):
     follow scipy's DOP853, with no cap on the step size. A step costs 12
     calls of fun, and its seventh-order dense output 3 more, built only
     for a step in which an event crosses zero (in a batch, in one pass for
-    the rows that do). An event is a function ``event(t, y)`` with an
-    optional ``direction`` attribute; in a batch it receives (N,) times
-    and (n, N) states. Every event is terminal: a trajectory stops at the
-    first root of any of them, which is its only entry in ``t_events`` and
-    ``y_events``.
+    the columns that do). An event is a function ``event(t, y)`` with an
+    optional ``direction`` attribute. Every event is terminal: a
+    trajectory stops at the first root of any of them, which is its only
+    entry in ``t_events`` and ``y_events``.
 
-    Without ``t_eval`` every accepted step is returned. ``t_eval`` (one
-    trajectory only, receiving (n,) states and float times) returns the
-    state at each of its times instead: each step is clipped to end on the
-    next of them, and after an accepted clipped step the next one is the
-    larger of the controller's proposal and the step that was clipped, so
-    landing does not shorten the steps that follow. A grid finer than the
-    controller's step makes every step one sample, at 12 calls a sample.
-    Sampling the interpolant inside longer steps would take fewer calls,
-    but in the chart it errs by up to about the tolerance: one period on a
-    grid of 256 then drifts 2.6e-10 in the conserved quantities, against
-    1e-15 landing.
+    A sampled run returns the state at each time of ``t_eval``: each step
+    is clipped to end on the next of them, and after an accepted clipped
+    step the next one is the larger of the controller's proposal and the
+    step that was clipped, so landing does not shorten the steps that
+    follow. A grid finer than the controller's step makes every step one
+    sample, at 12 calls a sample. Sampling the interpolant inside longer
+    steps would take fewer calls, but in the chart it errs by up to about
+    the tolerance: one period on a grid of 256 then drifts 2.6e-10 in the
+    conserved quantities, against 1e-15 landing.
 
-    A sampled ``fun`` of the two-body phase space may carry a ``frame``
-    attribute: an elliptic algebra element xi under whose flow fun and
-    the events are invariant. If the start is nearly at rest in the frame
-    that moves with xi, |fun - X_xi| <= _AT_REST |fun| at y0, the loop
-    integrates z~' = fun(z~) - X_xi(z~) for z~(t) = exp(-t xi) z(t) there,
-    at one call of fun a stage; otherwise the run is the chart's, call for
-    call. In the frame the steps run freely and the samples inside a step
-    are read off its interpolant, at 3 more calls for a step that holds
-    any. The motion there is slow, so the interpolant errs far below the
+    ``frame``, for a sampled fun of the two-body phase space, is an
+    elliptic algebra element xi under whose flow fun and the events are
+    invariant. If the start is nearly at rest in the frame that moves
+    with xi, |fun - X_xi| <= _AT_REST |fun| at y0, the loop integrates
+    z~' = fun(z~) - X_xi(z~) for z~(t) = exp(-t xi) z(t) there, at one
+    call of fun a stage; otherwise the run is the chart's, call for call.
+    In the frame the steps run freely and the samples inside a step are
+    read off its interpolant, at 3 more calls for a step that holds any.
+    The motion there is slow, so the interpolant errs far below the
     tolerance: one period at tanh d1 = 0.4 on a grid of 256 takes 32 calls
     and drifts 2e-14. The first accepted step that ends away from rest
     ends the frame; the run goes on from that state, carried back to the
@@ -599,15 +599,13 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, events=()):
         raise ValueError("y0 must be finite")
     _require_tolerances(rtol, atol)
     events = (events,) if callable(events) else tuple(events)
-    if t_eval is not None:
-        if y0.ndim != 1:
-            raise ValueError("t_eval applies to a single trajectory")
-        t_eval = np.asarray(t_eval, dtype=float)
-        return _solve_sampled(fun, t0, t_bound, y0, rtol, atol, t_eval, events)
     if y0.ndim == 1:
-        one = _solve_batch(fun, t0, t_bound, y0[:, None], rtol, atol, events)
-        return OdeResult(**{key: value[0] for key, value in vars(one).items() if key != "nfev"},
-                         nfev=one.nfev)
+        if t_eval is None:
+            raise ValueError("a single trajectory needs t_eval; a batch is y0 of shape (n, N)")
+        t_eval = np.asarray(t_eval, dtype=float)
+        return _solve_sampled(fun, t0, t_bound, y0, rtol, atol, t_eval, events, frame)
+    if t_eval is not None or frame is not None:
+        raise ValueError("t_eval and frame apply to a single trajectory, y0 of shape (n,)")
     return _solve_batch(fun, t0, t_bound, y0, rtol, atol, events)
 
 
@@ -630,13 +628,13 @@ def _to_chart(xi, t, z):
     return np.array(_act_phase(*flow_entries(xi, t), z))
 
 
-def _solve_sampled(fun, t, t_bound, y, rtol, atol, t_eval, events):
+def _solve_sampled(fun, t, t_bound, y, rtol, atol, t_eval, events, xi):
     """DOP853 on one trajectory sampled at t_eval: in the chart each step
     is clipped to end on the next sample time, so that every sample is a
-    step's end point; in the frame of fun.frame the steps run freely and
-    the samples inside a step come from its interpolant."""
+    step's end point; in the frame of xi the steps run freely and the
+    samples inside a step come from its interpolant."""
     f = fun(t, y)
-    rhs, xi = fun, getattr(fun, "frame", None)
+    rhs = fun
     if xi is not None:
         field = f.tolist()
         residual = list(map(sub, field, _generator_lift(xi, y.tolist()).tolist()))
@@ -770,8 +768,8 @@ def _solve_batch(fun, t0, t_bound, y, rtol, atol, events):
     fresh = np.ones(size, dtype=bool)  # the next attempt starts a new step
     accepted, rejected, dense = (np.zeros(size, dtype=int) for _ in range(3))
     h_min, h_max = np.full(size, np.inf), np.zeros(size)
-    status = [None] * size
-    nan_step = [False] * size
+    status = np.zeros(size, dtype=int)  # 0 unless a row fails or an event stops it
+    nan_step = np.zeros(size, dtype=bool)
     g = [ev(t, y) for ev in events]
     t_events = [[[] for _ in events] for _ in range(size)]
     y_events = [[[] for _ in events] for _ in range(size)]
@@ -782,9 +780,8 @@ def _solve_batch(fun, t0, t_bound, y, rtol, atol, events):
             h_abs = np.where(fresh, np.maximum(h_abs, min_step), h_abs)
             failed = ~(h_abs >= min_step)  # a NaN step fails too
             if failed.any():
-                for j in np.flatnonzero(failed):
-                    status[rows[j]] = -1
-                    nan_step[rows[j]] = math.isnan(h_abs[j])
+                status[rows[failed]] = -1
+                nan_step[rows[failed]] = np.isnan(h_abs[failed])
                 rows, t, y, f, h_abs, fresh, *g = (
                     a[..., ~failed] for a in (rows, t, y, f, h_abs, fresh, *g)
                 )
@@ -838,9 +835,6 @@ def _solve_batch(fun, t0, t_bound, y, rtol, atol, events):
                 g = [np.where(ok, b, a) for a, b in zip(g, g_new)]
             log.append((rows[ok], t_new[ok], y_new[:, ok]))
             if done.any():
-                for j in np.flatnonzero(done):
-                    if status[rows[j]] is None:
-                        status[rows[j]] = 0
                 rows, t, y, f, h_abs, fresh, *g = (
                     a[..., ~done] for a in (rows, t, y, f, h_abs, fresh, *g)
                 )
@@ -855,18 +849,17 @@ def _solve_batch(fun, t0, t_bound, y, rtol, atol, events):
         y=[states[:, a:b] for a, b in spans],
         t_events=[[np.array(te) for te in row] for row in t_events],
         y_events=[[np.array(ye) for ye in row] for row in y_events],
-        status=status,
+        status=status.tolist(),
         # a row that underflows fails at the time of its last step
         message=[
-            _message(s, times[b - 1], nan) for s, (_, b), nan in zip(status, spans, nan_step)
+            _message(s, times[b - 1], nan)
+            for s, (_, b), nan in zip(status.tolist(), spans, nan_step.tolist())
         ],
         accepted=accepted.tolist(),
         rejected=rejected.tolist(),
         dense=dense.tolist(),
         h_min=[float(a) if k else None for a, k in zip(h_min, accepted)],
         h_max=[float(b) if k else None for b, k in zip(h_max, accepted)],
-        frame_xi=[None] * size,
-        left_frame_at=[None] * size,
         nfev=nfev,
     )
 
@@ -928,7 +921,6 @@ def integrate(
     def rhs(t, z):
         return _field_array(z, m1, m2, k)
 
-    rhs.frame = _locked_velocity(state, params)
     sol = solve_ivp(
         rhs,
         (0.0, config.t_end),
@@ -937,6 +929,7 @@ def integrate(
         atol=config.abs_tol,
         t_eval=config.sample_times(),
         events=_collision_event,
+        frame=_locked_velocity(state, params),
     )
     ts = sol.t
     states = sol.y.T
@@ -1090,14 +1083,10 @@ def perturb_and_measure(experiment: PerturbationExperiment) -> dict:
     not follow the rotation, and each accepted state is carried back to
     the chart exactly by exp(t xi). The events read only the separation,
     which the frame leaves as it is. X_xi comes from a coefficient table
-    built once per call: 8 to 10 us per (8, 10) evaluation, against 22 to
-    24 us term by term (2 shared cores). It sums the lift's terms in
-    another order, so the reports differ from a term-by-term lift in
-    their last digits; at AC-10's points (seed 20260816) nfev and the
-    verdicts are the same and escape times move by at most 2.1e-9. A
-    hyperbolic equilibrium's trials stay in the chart, since a trial that
-    wanders off the equilibrium would be swept along by the frame's own
-    dilation and need more steps there.
+    built once per call, whose elementwise evaluation rounds each column
+    as it would alone. A hyperbolic equilibrium's trials stay in the
+    chart, since a trial that wanders off the equilibrium would be swept
+    along by the frame's own dilation and need more steps there.
 
     A trial's samples are its accepted steps. ``max_distance_deviation``
     is the largest change of the separation along them and is the

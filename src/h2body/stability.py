@@ -30,6 +30,7 @@ from .liegroup import (
     bracket,
 )
 from .dynamics import (
+    Params,
     _augmented_potential_gradient,
     _locked_inertia,
     legendre,
@@ -230,11 +231,17 @@ def internal_block_oracle(re: RelativeEquilibrium, correction: float) -> float:
     Second derivative of the augmented potential along the internal
     direction w, as w . (complex step of its chart gradient along w), plus
     the correction of internal_correction. The tests hold that gradient to
-    the complex step of the augmented potential itself."""
+    the complex step of the augmented potential itself.
+
+    The augmented potential at coupling k and generator xi is k times its
+    value at coupling 1 and xi / sqrt(k), so the step is taken there, in
+    units where a tiny k leaves no term of the imaginary part subnormal."""
     w = v_int_generator(re.d1, re.d2)
     q = re.config.coords()
-    hess_w = _cs_derivative(_augmented_potential_gradient, q, w, re.params, re.xi)
-    return float(w @ hess_w) + correction
+    k = re.params.k
+    unit = Params(re.params.m1, re.params.m2, 1.0)
+    hess_w = _cs_derivative(_augmented_potential_gradient, q, w, unit, re.xi * (1 / math.sqrt(k)))
+    return k * float(w @ hess_w) + correction
 
 
 def internal_membership(family: Family, eta: AlgebraElement) -> dict:

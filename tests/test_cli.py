@@ -165,6 +165,14 @@ class TestEquilibriumCommand:
         assert code == 0, err
         assert json.loads(out)["omega"] > 0.0
 
+    @pytest.mark.parametrize("d1, k", [("0.5", "1e-290"), ("0.01", "1e-307"), ("3", "1.94e-297")])
+    def test_tiny_coupling_passes_the_internal_oracle(self, capsys, d1, k):
+        # a complex step taken at coupling k would leave subnormal terms in
+        # the imaginary part; the oracle steps at coupling 1
+        code, out, err = run(capsys, "stability", d1, "--k", k)
+        assert code == 0, err
+        assert json.loads(out)["omega"] > 0.0
+
     def test_hyperbolic_has_no_period(self, capsys):
         code, out, _ = run(capsys, "equilibrium", "hyperbolic", "0.7", "--m2", "1.5")
         assert code == 0
@@ -749,6 +757,25 @@ def test_rate_that_underflows_exits_2(capsys, argv):
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith("error: the rate is out of range: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "equilibrium elliptic 0.5 --k 1e308",
+        "stability 0.001 --k 1e303",
+        "equilibrium elliptic 0.5 --m2 1.7e308",
+    ],
+)
+def test_rate_that_overflows_exits_2(capsys, argv):
+    # omega^2 = 2 k m1 / (sinh(d)^2 sinh(2 d2)) overflows to inf, which no
+    # JSON document can hold
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: the rate is out of range: ")
+    assert err.endswith(" overflows\n")
 
 
 @pytest.mark.parametrize("command", ["threshold-curve", "simulate"])

@@ -410,9 +410,9 @@ class TestSampledFrame:
             return sim_mod._field_array(z, 1.0, 1.0, 1.0)
 
         def run(frame, rtol, atol):
-            rhs.frame = frame
             return sim_mod.solve_ivp(rhs, (0.0, 20.0), z0, rtol=rtol, atol=atol,
-                                     t_eval=np.linspace(0.0, 20.0, 201), events=band)
+                                     t_eval=np.linspace(0.0, 20.0, 201), events=band,
+                                     frame=frame)
 
         ref = run(None, 1e-13, 1e-15)
         sol = run(sim_mod._locked_velocity(state, Params(1.0, 1.0)), 1e-10, 1e-12)
@@ -560,32 +560,34 @@ class TestEngine:
         assert a[sim_mod._N_STAGES].sum() == pytest.approx(1.0, rel=0.0, abs=1e-15)
 
     def test_unsampled_trajectory_matches_scipy_dop853_over_100_periods(self):
+        # a batch of one returns every accepted step, as scipy does
         re = _equal_mass_elliptic()
         state = _kicked_bound_state(re)
         span = (0.0, 100.0 * re.period)
-        ours = sim_mod.solve_ivp(_rhs(re.params), span, state.as_array(), rtol=1e-9, atol=1e-11)
+        ours = sim_mod.solve_ivp(_rhs(re.params), span, state.as_array()[:, None], rtol=1e-9,
+                                 atol=1e-11)
         ref = scipy_solve_ivp(_rhs(re.params), span, state.as_array(), method="DOP853",
                               rtol=1e-9, atol=1e-11)
-        assert ours.status == ref.status == 0
+        assert ours.status[0] == ref.status == 0
         # the same controller takes the same number of steps; their sizes
         # differ in the last digits of a cancelling error estimate, so the
         # states are compared where both land, at the end of the span
-        assert ours.t.size == ref.t.size
+        assert ours.t[0].size == ref.t.size
         assert abs(ours.nfev - ref.nfev) <= 0.01 * ref.nfev
-        assert ours.t[-1] == ref.t[-1] == span[1]
-        np.testing.assert_allclose(ours.y[:, -1], ref.y[:, -1], rtol=0.0, atol=1e-9)
+        assert ours.t[0][-1] == ref.t[-1] == span[1]
+        np.testing.assert_allclose(ours.y[0][:, -1], ref.y[:, -1], rtol=0.0, atol=1e-9)
 
     def test_unsampled_run_needs_under_40_percent_of_rk45_field_calls(self):
         # AC-10's stable point, one kicked trial over 20 periods, as perturb runs it
         re = _equal_mass_elliptic()
-        start = _kicked_starts(re, 1)[:, 0]
+        start = _kicked_starts(re, 1)
         events = (sim_mod._collision_event, _escape_event(re))
         span = (0.0, 20.0 * re.period)
         ours = sim_mod.solve_ivp(_rhs(re.params), span, start, rtol=1e-10, atol=1e-12,
                                  events=events)
-        ref = scipy_solve_ivp(_rhs(re.params), span, start, method="RK45", rtol=1e-10,
+        ref = scipy_solve_ivp(_rhs(re.params), span, start[:, 0], method="RK45", rtol=1e-10,
                               atol=1e-12, events=events)
-        assert ours.status == ref.status == 0
+        assert ours.status[0] == ref.status == 0
         assert ours.nfev < 0.4 * ref.nfev
 
     def test_sampled_trajectory_matches_tight_scipy_dop853_over_100_periods(self):
@@ -615,22 +617,23 @@ class TestEngine:
         d1 = math.atanh(u)
         params = Params(c, 1.0)
         re = build_relative_equilibrium(Family.ELLIPTIC, d1, params)
-        start = _kicked_starts(re, 1)[:, 0]
+        start = _kicked_starts(re, 1)
         span = (0.0, 10.0 * re.period)
-        lone = sim_mod.solve_ivp(_rhs(params), span, start, rtol=1e-10, atol=1e-12,
+        lone = sim_mod.solve_ivp(_rhs(params), span, start[:, 0], rtol=1e-10, atol=1e-12,
                                  t_eval=list(span))
         batch = sim_mod.solve_ivp(_rhs(params), span, start, rtol=1e-10, atol=1e-12)
-        assert lone.status == batch.status == 0
+        assert lone.status == batch.status[0] == 0
         assert (lone.accepted, lone.rejected, lone.nfev) == (
-            batch.accepted, batch.rejected, batch.nfev)
-        assert lone.h_min == pytest.approx(batch.h_min, rel=1e-5, abs=0.0)
-        assert lone.h_max == pytest.approx(batch.h_max, rel=1e-5, abs=0.0)
+            batch.accepted[0], batch.rejected[0], batch.nfev)
+        assert lone.h_min == pytest.approx(batch.h_min[0], rel=1e-5, abs=0.0)
+        assert lone.h_max == pytest.approx(batch.h_max[0], rel=1e-5, abs=0.0)
         np.testing.assert_array_equal(lone.t, span)
-        np.testing.assert_allclose(lone.y[:, -1], batch.y[:, -1], rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(lone.y[:, -1], batch.y[0][:, -1], rtol=0.0, atol=1e-10)
 
     @pytest.mark.parametrize("u, periods", [(0.4, 3.0), (0.8, 20.0)])
     def test_batch_rows_match_lone_runs(self, u, periods):
-        # stable rows run the whole span; unstable ones retire at escape
+        # stable rows run the whole span; unstable ones retire at escape.
+        # Each row against the same start run as a batch of one
         re = _equal_mass_elliptic(u=u)
         starts = _kicked_starts(re, 5)
         events = (sim_mod._collision_event, _escape_event(re))
@@ -638,16 +641,16 @@ class TestEngine:
         batch = sim_mod.solve_ivp(_rhs(re.params), span, starts, rtol=1e-10, atol=1e-12,
                                   events=events)
         for i in range(starts.shape[1]):
-            one = sim_mod.solve_ivp(_rhs(re.params), span, starts[:, i], rtol=1e-10,
+            one = sim_mod.solve_ivp(_rhs(re.params), span, starts[:, i:i + 1], rtol=1e-10,
                                     atol=1e-12, events=events)
-            assert batch.status[i] == one.status == (1 if u > 0.5 else 0)
-            assert (batch.accepted[i], batch.rejected[i]) == (one.accepted, one.rejected)
+            assert batch.status[i] == one.status[0] == (1 if u > 0.5 else 0)
+            assert (batch.accepted[i], batch.rejected[i]) == (one.accepted[0], one.rejected[0])
             assert (batch.dense[i], batch.h_min[i], batch.h_max[i]) == (
-                one.dense, one.h_min, one.h_max)
-            np.testing.assert_array_equal(batch.t[i], one.t)
-            np.testing.assert_array_equal(batch.y[i], one.y)
-            assert len(batch.t_events[i]) == len(one.t_events)
-            for mine, lone in zip(batch.t_events[i], one.t_events):
+                one.dense[0], one.h_min[0], one.h_max[0])
+            np.testing.assert_array_equal(batch.t[i], one.t[0])
+            np.testing.assert_array_equal(batch.y[i], one.y[0])
+            assert len(batch.t_events[i]) == len(one.t_events[0])
+            for mine, lone in zip(batch.t_events[i], one.t_events[0]):
                 np.testing.assert_array_equal(mine, lone)
 
     def test_trials_do_not_depend_on_n_trials(self):
@@ -690,25 +693,27 @@ class TestEngine:
         def blow_up(t, y):
             return y * y
 
-        ours = sim_mod.solve_ivp(blow_up, (0.0, 2.0), np.array([1.0]), rtol=1e-10, atol=1e-12)
+        ours = sim_mod.solve_ivp(blow_up, (0.0, 2.0), np.array([[1.0]]), rtol=1e-10, atol=1e-12)
         ref = scipy_solve_ivp(blow_up, (0.0, 2.0), [1.0], method="DOP853", rtol=1e-10,
                               atol=1e-12)
-        assert ours.status == ref.status == -1
-        assert "underflow" in ours.message
-        assert ours.t[-1] == pytest.approx(ref.t[-1], rel=0.0, abs=1e-12)
-        assert ours.t[-1] - 1.0 == pytest.approx(8.2e-12, rel=0.05, abs=0.0)
+        assert ours.status[0] == ref.status == -1
+        assert "underflow" in ours.message[0]
+        assert ours.t[0][-1] == pytest.approx(ref.t[-1], rel=0.0, abs=1e-12)
+        assert ours.t[0][-1] - 1.0 == pytest.approx(8.2e-12, rel=0.05, abs=0.0)
         assert ours.nfev == ref.nfev
 
-    @pytest.mark.parametrize("t_eval", [None, [0.0, 1.0]], ids=["batch", "sampled"])
-    def test_nan_step_is_named(self, t_eval):
+    @pytest.mark.parametrize("y0, t_eval", [([[1.0]], None), ([1.0], [0.0, 1.0])],
+                             ids=["batch", "sampled"])
+    def test_nan_step_is_named(self, y0, t_eval):
         # the field overflows the error scale, so the starting step is NaN
         def huge(t, y):
             return np.full_like(y, 1e300)
 
-        sol = sim_mod.solve_ivp(huge, (0.0, 1.0), np.array([1.0]), rtol=1e-10, atol=1e-12,
+        sol = sim_mod.solve_ivp(huge, (0.0, 1.0), np.array(y0), rtol=1e-10, atol=1e-12,
                                 t_eval=t_eval)
-        assert sol.status == -1
-        assert sol.message == (
+        status, message = (sol.status, sol.message) if t_eval else (sol.status[0], sol.message[0])
+        assert status == -1
+        assert message == (
             "step size underflow at t = 0.0: "
             "the step size is not a number (the field overflows the error scale)")
 
@@ -717,11 +722,16 @@ class TestEngine:
         z = initial_state(_equal_mass_elliptic()).as_array()
         bad = z.copy()
         bad[0] = math.nan
+        xi = _equal_mass_elliptic().xi
         for kwargs in (
             dict(y0=bad),
             dict(y0=z, rtol=1e-16),
             dict(y0=z, t_span=(0.0, math.inf)),
             dict(y0=np.column_stack([z, z]), t_eval=[0.0, 1.0]),
+            # a lone trajectory is a sampled one
+            dict(y0=z),
+            # a batch runs as given, in the chart
+            dict(y0=np.column_stack([z, z]), frame=xi),
         ):
             args = {"t_span": (0.0, 1.0), "rtol": 1e-10, "atol": 1e-12, **kwargs}
             with pytest.raises(ValueError):
@@ -784,24 +794,26 @@ class TestCounters:
             2 + 12 * (stats["accepted"] + stats["rejected"]) + 3 * stats["dense"] + 2)
 
     def test_lone_run_stats(self, monkeypatch):
+        # one trajectory, run as a batch of one
         calls = self._count_field_calls(monkeypatch)
         re = _equal_mass_elliptic(u=0.8)
-        start = _kicked_starts(re, 1)[:, 0]
+        start = _kicked_starts(re, 1)
         sol = sim_mod.solve_ivp(
             lambda t, z: sim_mod._field_array(z, 1.0, 1.0, 1.0), (0.0, 2.0 * re.period), start,
             rtol=1e-10, atol=1e-12, events=(sim_mod._collision_event, _escape_event(re)),
         )
-        assert sol.status == 1 and sol.dense == 1
+        assert sol.status[0] == 1 and sol.dense[0] == 1
         # DOP853: twelve calls per attempted step, three per interpolant
-        assert sol.nfev == len(calls) == 2 + 12 * (sol.accepted + sol.rejected) + 3 * sol.dense
+        assert sol.nfev == len(calls) == (
+            2 + 12 * (sol.accepted[0] + sol.rejected[0]) + 3 * sol.dense[0])
 
     def test_step_range_brackets_every_accepted_step(self):
         re = _equal_mass_elliptic()
         span = (0.0, 3.0 * re.period)
         starts = _kicked_starts(re, 3)
-        lone = sim_mod.solve_ivp(_rhs(re.params), span, starts[:, 0], rtol=1e-10, atol=1e-12)
+        one = sim_mod.solve_ivp(_rhs(re.params), span, starts[:, :1], rtol=1e-10, atol=1e-12)
         batch = sim_mod.solve_ivp(_rhs(re.params), span, starts, rtol=1e-10, atol=1e-12)
-        runs = [(lone.t, lone.h_min, lone.h_max)]
+        runs = list(zip(one.t, one.h_min, one.h_max))
         runs += list(zip(batch.t, batch.h_min, batch.h_max))
         for t, h_min, h_max in runs:
             steps = np.diff(t)
