@@ -77,10 +77,36 @@ def _write(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _first_non_finite(obj, path):
+    """(path, value) of the first NaN or infinity in a JSON document, in
+    the encoder's order, or None."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else (path, obj)
+    if isinstance(obj, dict):
+        items = ((f"{path}.{key}" if path else str(key), value) for key, value in obj.items())
+    elif isinstance(obj, (list, tuple)):
+        items = ((f"{path}[{i}]", value) for i, value in enumerate(obj))
+    else:
+        return None
+    for item_path, value in items:
+        found = _first_non_finite(value, item_path)
+        if found is not None:
+            return found
+    return None
+
+
 def _emit(doc: dict, out_path: str | None) -> None:
     # one line, so the C encoder runs; floats print as their shortest
-    # round-tripping repr; NaN and inf raise ValueError
-    _write(json.dumps(doc, allow_nan=False) + "\n", out_path)
+    # round-tripping repr; NaN and inf raise ValueError, which names the
+    # first such field
+    try:
+        text = json.dumps(doc, allow_nan=False)
+    except ValueError:
+        found = _first_non_finite(doc, "")
+        if found is None:
+            raise
+        raise ValueError(f"result is not finite: {found[0]} = {found[1]!r}") from None
+    _write(text + "\n", out_path)
 
 
 # -- scenario validation -------------------------------------------------

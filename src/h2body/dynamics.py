@@ -9,6 +9,7 @@ equivariant momentum map.
 
 from __future__ import annotations
 
+import functools
 import sys
 from dataclasses import dataclass
 
@@ -184,17 +185,27 @@ def hamiltonian_vector_field(state: PhaseState, params: Params) -> np.ndarray:
     return _field_array(state.as_array(), params.m1, params.m2, params.k)
 
 
-def _field_array(z, m1, m2, k):
+def _field_array(z, m1, m2, k, xi=None):
     """Array-in, array-out equations of motion; hot path for integrators.
-    A lone (8,) state runs on Python floats, which round as numpy scalars
-    do at less cost per operation; an (8, N) batch runs on its rows."""
-    x1, y1, x2, y2, px1, py1, px2, py2 = z.tolist() if z.ndim == 1 else z
+
+    Returns X_H at the states z, (8,) or (8, N), or with xi the field
+    X_H - X_xi of the frame that moves with the flow of xi (a state z~ of
+    that frame is exp(-t xi) z(t)). A lone (8,) state runs on Python
+    floats, which round as numpy scalars do at less cost per operation,
+    and subtracts _generator_lift on the same floats. An (8, N) batch runs
+    X_H on its rows, which is the reference definition; with xi it runs
+    the coefficient table of _frame_field instead, which agrees with the
+    definition to rounding."""
+    if xi is not None and z.ndim == 2:
+        return _frame_field(m1, m2, k, xi.E, xi.H, xi.P)(z)
+    coords = z.tolist() if z.ndim == 1 else z
+    x1, y1, x2, y2, px1, py1, px2, py2 = coords
     gx1, gy1, gx2, gy2 = _potential_gradient(x1, y1, x2, y2, k * m1 * m2)
     s1 = y1 / m1
     s2 = y2 / m2
     r1 = s1 * y1
     r2 = s2 * y2
-    return np.array(
+    field = np.array(
         [
             r1 * px1,
             r1 * py1,
@@ -206,6 +217,7 @@ def _field_array(z, m1, m2, k):
             -gy2 - s2 * (px2 * px2 + py2 * py2),
         ]
     )
+    return field if xi is None else field - _generator_lift(xi, coords)
 
 
 def _generator_lift(xi: AlgebraElement, z):
@@ -231,45 +243,79 @@ def _generator_lift(xi: AlgebraElement, z):
     )
 
 
-# The lift is a quadratic polynomial in the state with coefficients fixed
-# by xi. Its basis is the 8 state rows followed by 14 monomials, per body
-# y^2, x^2, x y, y py, x px, y px and x py, each a product of two state rows.
-_LIFT_MONOMIALS = np.array([
+# X_H - X_xi is a polynomial in the state and in 4 gradient rows, with
+# coefficients fixed by (m1, m2, k, xi). Its basis is the 8 state rows
+# (0-7); 14 quadratic monomials (8-21), per body y^2, x^2, x y, y py, x px,
+# y px and x py, each a product of two state rows; 8 cubic ones (22-29),
+# per body y^2 px, y^2 py, y px^2 and y py^2, each a quadratic y px or
+# y py times a state row; the gradient rows dx, dy, half / y1 and
+# half / y2 over w^1.5 y1 y2 (30-33, see _potential_gradient); and a row
+# of ones (34) that carries the constant and pads each row's terms.
+_QUADRATIC = np.array([
     (1, 1), (0, 0), (0, 1), (1, 5), (0, 4), (1, 4), (0, 5),
     (3, 3), (2, 2), (2, 3), (3, 7), (2, 6), (3, 6), (2, 7),
 ]).T
-# each row of the lift is three terms, term i of row j being a coefficient
-# times basis row _LIFT_TERMS[i, j]; a gy row's third coefficient is 0
-_LIFT_TERMS = np.array([
-    [8, 10, 15, 17, 11, 14, 18, 21],
-    [9, 1, 16, 3, 12, 13, 19, 20],
-    [0, 1, 2, 3, 4, 5, 6, 7],
-])
+_CUBIC = np.array([
+    (5, 1), (3, 1), (5, 4), (3, 5), (12, 3), (10, 3), (12, 6), (10, 7),
+]).T
+_GRADIENT = 30
+_ONE = 34
 
 
-def _generator_lift_table(xi: AlgebraElement):
-    """_generator_lift of xi as a function of (8, N) states, its
-    coefficients tabulated once. An evaluation is a few elementwise numpy
-    calls, with no reduction, so each column rounds as it would alone; the
-    sums are associated differently from _generator_lift, which stays the
-    definition, so the two agree to rounding."""
-    e, h = xi.E, xi.H
-    coefficients = np.array([
-        [0.5 * e, -e, 0.5 * e, -e, e, e, e, e],
-        [-0.5 * e, h, -0.5 * e, h, e, -e, e, -e],
-        [h, 0.0, h, 0.0, -h, -h, -h, -h],
-    ])[:, :, None]
-    # the constant term of generator_field's gx
-    c = xi.P - 0.5 * e
-    constant = np.array([c, 0.0, c, 0.0, 0.0, 0.0, 0.0, 0.0])[:, None]
-    left, right = _LIFT_MONOMIALS
+@functools.lru_cache(maxsize=16)
+def _frame_field(m1, m2, k, e, h, p):
+    """X_H - X_xi, xi = (E, H, P) = (e, h, p), as a function of (8, N)
+    states, its terms tabulated once. Each row of the field is a list of
+    coefficients times basis rows, summed in the table's order; that sum
+    and every other step are elementwise or run along the term axis, so
+    each column rounds as it would alone, whatever N is. The terms are
+    associated differently from _field_array's formulas and
+    _generator_lift, which stay the definition, so the two agree to
+    rounding."""
+    # memoised calls that differ only in a zero's sign share one entry,
+    # built from +0.0 whichever call comes first
+    e, h, p = e + 0.0, h + 0.0, p + 0.0
+    kmm = k * m1 * m2
+    dx, dy = _GRADIENT, _GRADIENT + 1
+    rows = [None] * 8
+    for body, m, sign in ((0, m1, -1.0), (1, m2, 1.0)):
+        x, y, px, py = 2 * body, 2 * body + 1, 4 + 2 * body, 5 + 2 * body
+        yy, xx, xy, ypy, xpx, ypx, xpy = range(8 + 7 * body, 15 + 7 * body)
+        yypx, yypy, ypxpx, ypypy = range(22 + 4 * body, 26 + 4 * body)
+        # the cometric raises the momenta by y^2 / m; X_xi is the lift
+        # written out in its monomials (see _generator_lift)
+        rows[x] = [(yypx, 1.0 / m), (yy, -0.5 * e), (xx, 0.5 * e), (x, -h),
+                   (_ONE, 0.5 * e - p)]
+        rows[y] = [(yypy, 1.0 / m), (xy, e), (y, -h)]
+        # -grad V: body 1 takes -kmm (dx, dy - half / y1), body 2
+        # kmm (dx, dy + half / y2)
+        rows[px] = [(dx, sign * kmm), (ypy, -e), (xpx, -e), (px, h)]
+        rows[py] = [(dy, sign * kmm), (_GRADIENT + 2 + body, kmm),
+                    (ypxpx, -1.0 / m), (ypypy, -1.0 / m), (xpy, -e), (ypx, e), (py, h)]
+    # pad every row to the longest, a py row, with zero times the ones
+    width = max(map(len, rows))
+    for row in rows:
+        row += [(_ONE, 0.0)] * (width - len(row))
+    basis_rows = np.array([[b for b, _ in row] for row in rows]).T
+    coefficients = np.array([[c for _, c in row] for row in rows]).T[:, :, None]
+    left, right = _QUADRATIC
+    quadratic_left, cubic_right = _CUBIC
 
-    def lift(z):
-        basis = np.concatenate((z, z[left] * z[right]))
-        terms = basis[_LIFT_TERMS] * coefficients
-        return terms[0] + terms[1] + terms[2] + constant
+    def field(z):
+        quadratic = z.take(left, 0) * z.take(right, 0)
+        cubic = quadratic.take(quadratic_left, 0) * z.take(cubic_right, 0)
+        # _potential_gradient's chain rule, its factor kmm in the table
+        d = z[:2] - z[2:4]
+        dd = d * d
+        half = 0.5 * (dd[0] + dd[1])
+        yy = z[1] * z[3]
+        u = half / yy
+        w = u * (2.0 + u)
+        gradient = np.concatenate((d, half / z[1:4:2])) / (w * np.sqrt(w) * yy)
+        basis = np.concatenate((z, quadratic, cubic, gradient, np.ones((1, z.shape[1]))))
+        return np.add.reduce(basis.take(basis_rows, 0) * coefficients, axis=0)
 
-    return lift
+    return field
 
 
 def velocity_vectors(state: PhaseState, params: Params):

@@ -8,7 +8,8 @@ and event location. One loop runs a batch, states of shape (8, N) that
 keep a time, a step size and a status per column and evaluate the field
 once per stage for all columns still running, which is how the
 perturbation trials run (an elliptic equilibrium's in the frame that
-rotates with it). A lone state of shape (8,) is a run sampled on a time
+rotates with it, whose field X_H - X_xi is evaluated from one table of
+coefficients). A lone state of shape (8,) is a run sampled on a time
 grid, one trajectory in a loop of its own. In the chart it clips each
 step to end on the next sample time, so every sample is a step's end
 point and none is interpolated. A start nearly at rest in the frame
@@ -45,7 +46,6 @@ from .dynamics import (
     _act_phase,
     _field_array,
     _generator_lift,
-    _generator_lift_table,
     _kinetic,
     _momentum,
     _potential,
@@ -1082,11 +1082,13 @@ def perturb_and_measure(experiment: PerturbationExperiment) -> dict:
     z~' = X_H(z~) - X_xi(z~) for z~(t) = exp(-t xi) z(t), so the steps need
     not follow the rotation, and each accepted state is carried back to
     the chart exactly by exp(t xi). The events read only the separation,
-    which the frame leaves as it is. X_xi comes from a coefficient table
-    built once per call, whose elementwise evaluation rounds each column
-    as it would alone. A hyperbolic equilibrium's trials stay in the
-    chart, since a trial that wanders off the equilibrium would be swept
-    along by the frame's own dilation and need more steps there.
+    which the frame leaves as it is. Both families share one right-hand
+    side, _field_array with the frame's generator or None; in the frame it
+    evaluates X_H - X_xi from a coefficient table built once per masses,
+    coupling and generator, and rounds each column as it would alone. A
+    hyperbolic equilibrium's trials stay in the chart, since a trial that
+    wanders off the equilibrium would be swept along by the frame's own
+    dilation and need more steps there.
 
     A trial's samples are its accepted steps. ``max_distance_deviation``
     is the largest change of the separation along them and is the
@@ -1105,14 +1107,8 @@ def perturb_and_measure(experiment: PerturbationExperiment) -> dict:
     m1, m2, k = params.m1, params.m2, params.k
     frame = re.xi if re.family is Family.ELLIPTIC else None
 
-    if frame is None:
-        def rhs(t, z):
-            return _field_array(z, m1, m2, k)
-    else:
-        lift = _generator_lift_table(frame)
-
-        def rhs(t, z):
-            return _field_array(z, m1, m2, k) - lift(z)
+    def rhs(t, z):
+        return _field_array(z, m1, m2, k, frame)
 
     def escape(t, z):
         d = separation(z[0], z[1], z[2], z[3])

@@ -120,8 +120,9 @@ def rig_block(re: RelativeEquilibrium) -> np.ndarray:
         corner = pre / (u1 * u2) / (u1 * u2)
         return np.array([[pre, -pre], [-pre, corner]])
     pre = m2 * w2 * (u1 + u2) * u2 / (s2 * s2)
-    return pre * np.array(
-        [[1.0 / one_minus, 0.0], [0.0, 1.0 + u1 * u2]]
+    # the zeros are exact, so an infinite pre leaves them zero, not NaN
+    return np.array(
+        [[pre * (1.0 / one_minus), 0.0], [0.0, pre * (1.0 + u1 * u2)]]
     )
 
 

@@ -778,6 +778,22 @@ def test_rate_that_overflows_exits_2(capsys, argv):
     assert err.endswith(" overflows\n")
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        ("equilibrium hyperbolic 1e-3 --k 1e296", "stability.rig_block[1][1]"),
+        ("equilibrium elliptic 0.5 --m2 1e300", "stability.rig_block[0][0]"),
+    ],
+)
+def test_non_finite_result_is_named(capsys, argv, field):
+    # the rate is finite, and a block entry built from it overflows after
+    # it; the one error: line names the first field no JSON document holds
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert err == f"error: result is not finite: {field} = inf\n"
+
+
 @pytest.mark.parametrize("command", ["threshold-curve", "simulate"])
 def test_input_too_large_for_memory_exits_2(capsys, tmp_path, command):
     # 1e17 float64 values are 711 PiB, more than a 64-bit address space

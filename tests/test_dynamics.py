@@ -43,7 +43,6 @@ from h2body.dynamics import (
     _act_phase,
     _field_array,
     _generator_lift,
-    _generator_lift_table,
     _potential_gradient,
 )
 from h2body.liegroup import flow_entries
@@ -140,6 +139,19 @@ class TestPotential:
             assert g[2] == -g[0]
 
 
+def _field_columns(rng, n):
+    """n random states in the chart, the first 8 far up it and the next 8
+    near collision."""
+    x1, x2 = 3.0 * (2.0 * rng.random((2, n)) - 1.0)
+    y1, y2 = np.exp(4.0 * (2.0 * rng.random((2, n)) - 1.0))
+    y1[:8] = 1e6 * (1.0 + rng.random(8))  # far up the chart
+    y2[:8] = 1e6 * (1.0 + rng.random(8))
+    # near collision: body 2 a few 1e-6 of y1 away from body 1
+    x2[8:16] = x1[8:16] + 1e-6 * y1[8:16] * rng.standard_normal(8)
+    y2[8:16] = y1[8:16] * (1.0 + 1e-6 * rng.standard_normal(8))
+    return np.vstack([x1, y1, x2, y2, 10.0 * rng.standard_normal((4, n))])
+
+
 class TestEnergyAndField:
     def test_kinetic_by_hand(self):
         s = phase_state(0.0, 2.0, 1.0, 0.5, 3.0, 0.0, 0.0, 4.0)
@@ -173,14 +185,7 @@ class TestEnergyAndField:
         # a lone state runs the field on Python floats, a batch on its rows;
         # each column of a batch must equal its lone call bit for bit
         n = 64
-        x1, x2 = 3.0 * (2.0 * rng.random((2, n)) - 1.0)
-        y1, y2 = np.exp(4.0 * (2.0 * rng.random((2, n)) - 1.0))
-        y1[:8] = 1e6 * (1.0 + rng.random(8))  # far up the chart
-        y2[:8] = 1e6 * (1.0 + rng.random(8))
-        # near collision: body 2 a few 1e-6 of y1 away from body 1
-        x2[8:16] = x1[8:16] + 1e-6 * y1[8:16] * rng.standard_normal(8)
-        y2[8:16] = y1[8:16] * (1.0 + 1e-6 * rng.standard_normal(8))
-        Z = np.vstack([x1, y1, x2, y2, 10.0 * rng.standard_normal((4, n))])
+        Z = _field_columns(rng, n)
         m1, m2, k = 0.3, 2.7, 1.3
         batch = _field_array(Z, m1, m2, k)
         assert np.all(np.isfinite(batch))
@@ -315,17 +320,27 @@ class TestArrayForms:
          build_relative_equilibrium(Family.ELLIPTIC, math.atanh(0.4), Params(1.0, 1.0)).xi],
         ids=[*(k.value for k in _FRAME_XIS), "ac10"],
     )
-    def test_lift_table_matches_the_lift_column_by_column(self, rng, xi):
-        # the table sums the lift's terms in another order, so the two agree
-        # to rounding; each column rounds as it does alone, whatever N is
-        lift = _generator_lift_table(xi)
-        _, z = _columns(rng, 50)
-        got, ref = lift(z), _generator_lift(xi, z)
-        assert np.all(np.abs(got - ref) <= 1e-15 * np.max(np.abs(ref), axis=0))
+    def test_frame_field_matches_the_definition_column_by_column(self, rng, xi):
+        # a batch with xi runs a coefficient table that associates the terms
+        # of X_H - X_xi differently from the definition, the lone field less
+        # the lone lift, so the two agree to rounding: within 16 ulps of the
+        # larger of |X_H| and |X_xi| in each column (measured up to 8.1e-16,
+        # far up the chart and near collision included)
+        m1, m2, k = 0.3, 2.7, 1.3
+        z = _field_columns(rng, 50)
+        batch = _field_array(z, m1, m2, k, xi)
+        for j in range(z.shape[1]):
+            field = _field_array(z[:, j], m1, m2, k)
+            lift = _generator_lift(xi, z[:, j].tolist())
+            scale = max(np.max(np.abs(field)), np.max(np.abs(lift)))
+            assert np.max(np.abs(batch[:, j] - (field - lift))) <= 16 * np.finfo(float).eps * scale, j
+            # a lone state with xi is the definition itself
+            assert np.array_equal(_field_array(z[:, j], m1, m2, k, xi), field - lift), j
+        # each column rounds as it does alone, whatever N is: the columns
+        # run in batches of 1, 7 and 50 give the same bits
         for n in (1, 7, 50):
-            batch = lift(z[:, :n])
-            for j in range(n):
-                assert batch[:, j].tobytes() == lift(z[:, j:j + 1])[:, 0].tobytes()
+            parts = [_field_array(z[:, i:i + n], m1, m2, k, xi) for i in range(0, 50, n)]
+            assert np.concatenate(parts, axis=1).tobytes() == batch.tobytes(), n
 
     @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
     def test_equilibrium_is_at_rest_in_its_frame(self, family):

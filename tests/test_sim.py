@@ -746,9 +746,9 @@ class TestCounters:
     def _count_field_calls(monkeypatch):
         calls = []
 
-        def counted(z, m1, m2, k):
+        def counted(z, m1, m2, k, xi=None):
             calls.append(1)
-            return _field_array(z, m1, m2, k)
+            return _field_array(z, m1, m2, k, xi)
 
         monkeypatch.setattr(sim_mod, "_field_array", counted)
         return calls
@@ -894,14 +894,23 @@ class TestMovingFrame:
         assert report["stats"]["nfev"] <= 9170 / 3
         assert report["n_bounded"] == 10
 
-    @pytest.mark.parametrize("u, nfev, n_escaped", [(0.4, 2066, 0), (0.8, 527, 50)])
-    def test_ac10_batch_work_and_verdicts(self, u, nfev, n_escaped):
+    @pytest.mark.parametrize("u, work, n_escaped", [
+        pytest.param(0.4, (2066, 7781, 65), 0, id="0.4-2066-0"),
+        pytest.param(0.8, (527, 974, 422), 50, id="0.8-527-50"),
+    ])
+    def test_ac10_batch_work_and_verdicts(self, u, work, n_escaped):
         # pinned so that a rounding change in the frame's right-hand side
-        # that moves the step counts shows
+        # that moves the step counts shows: nfev follows only the longest
+        # row, the summed accepted and rejected steps follow every trial
         re = _equal_mass_elliptic(u=u)
         report = perturb_and_measure(
             PerturbationExperiment(re, 1e-4, 50, 20.0 * re.period, _AC10_SEED))
-        assert report["stats"]["nfev"] == nfev
+        trials = report["trials"]
+        assert (
+            report["stats"]["nfev"],
+            sum(t["stats"]["accepted"] for t in trials),
+            sum(t["stats"]["rejected"] for t in trials),
+        ) == work
         assert (report["n_escaped"], report["n_bounded"]) == (n_escaped, 50 - n_escaped)
 
     def test_hyperbolic_family_stays_in_the_chart(self):
