@@ -188,24 +188,23 @@ def hamiltonian_vector_field(state: PhaseState, params: Params) -> np.ndarray:
 def _field_array(z, m1, m2, k, xi=None):
     """Array-in, array-out equations of motion; hot path for integrators.
 
-    Returns X_H at the states z, (8,) or (8, N), or with xi the field
-    X_H - X_xi of the frame that moves with the flow of xi (a state z~ of
-    that frame is exp(-t xi) z(t)). A lone (8,) state runs on Python
-    floats, which round as numpy scalars do at less cost per operation,
-    and subtracts _generator_lift on the same floats. An (8, N) batch runs
-    X_H on its rows, which is the reference definition; with xi it runs
-    the coefficient table of _frame_field instead, which agrees with the
-    definition to rounding."""
-    if xi is not None and z.ndim == 2:
+    Returns X_H at the states z, (8,) or (8, N), or for an (8, N) batch
+    with xi the field X_H - X_xi of the frame that moves with the flow of
+    xi (a state z~ of that frame is exp(-t xi) z(t)). A lone (8,) state
+    runs on Python floats, which round as numpy scalars do at less cost
+    per operation. A batch runs X_H on its rows, which is the reference
+    definition; with xi it runs the coefficient table of _frame_field
+    instead, which agrees with the definition, X_H less _generator_lift,
+    to rounding."""
+    if xi is not None:
         return _frame_field(m1, m2, k, xi.E, xi.H, xi.P)(z)
-    coords = z.tolist() if z.ndim == 1 else z
-    x1, y1, x2, y2, px1, py1, px2, py2 = coords
+    x1, y1, x2, y2, px1, py1, px2, py2 = z.tolist() if z.ndim == 1 else z
     gx1, gy1, gx2, gy2 = _potential_gradient(x1, y1, x2, y2, k * m1 * m2)
     s1 = y1 / m1
     s2 = y2 / m2
     r1 = s1 * y1
     r2 = s2 * y2
-    field = np.array(
+    return np.array(
         [
             r1 * px1,
             r1 * py1,
@@ -217,7 +216,6 @@ def _field_array(z, m1, m2, k, xi=None):
             -gy2 - s2 * (px2 * px2 + py2 * py2),
         ]
     )
-    return field if xi is None else field - _generator_lift(xi, coords)
 
 
 def _generator_lift(xi: AlgebraElement, z):

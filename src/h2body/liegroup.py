@@ -17,7 +17,7 @@ import numpy as np
 
 from .geom import Point, TangentVector
 
-# |det(matrix of xi)| below 1e-12 * (1 + |xi|^2) counts as parabolic
+# |det(matrix of xi)| below 1e-12 * |xi|^2 counts as parabolic
 _PARABOLIC_TOL = 1e-12
 
 
@@ -161,19 +161,25 @@ class Classification:
     sign: int = 0
 
 
+def _discriminant(xi: AlgebraElement) -> float:
+    """Minus the determinant of the matrix of xi."""
+    return 0.25 * xi.H * xi.H + 0.5 * xi.E * xi.P - 0.25 * xi.E * xi.E
+
+
 def classify(xi: AlgebraElement) -> Classification:
     """Conjugacy type of an algebra element.
 
     The discriminant is minus the matrix determinant; its sign separates
-    rotations (negative) from boosts (positive). Near-zero discriminant,
-    tolerance 1e-12 * (1 + |xi|^2), is parabolic with the sign chosen so
-    the element is conjugate to sign * translation generator.
+    rotations (negative) from boosts (positive). A discriminant within
+    1e-12 * |xi|^2 of zero, |xi| the Frobenius norm of the matrix, is
+    parabolic, with the sign chosen so the element is conjugate to sign *
+    translation generator; s * xi has the type of xi for every s > 0.
     """
     if xi.E == 0.0 and xi.H == 0.0 and xi.P == 0.0:
         return Classification(ElementType.ZERO)
-    disc = 0.25 * xi.H * xi.H + 0.5 * xi.E * xi.P - 0.25 * xi.E * xi.E
+    disc = _discriminant(xi)
     fro2 = 0.5 * xi.H * xi.H + (xi.P - 0.5 * xi.E) ** 2 + 0.25 * xi.E * xi.E
-    if abs(disc) < _PARABOLIC_TOL * (1.0 + fro2):
+    if abs(disc) < _PARABOLIC_TOL * fro2:
         if xi.E < 0.0:
             sign = 1
         elif xi.E > 0.0:
@@ -187,18 +193,17 @@ def classify(xi: AlgebraElement) -> Classification:
 
 
 def flow_entries(xi: AlgebraElement, t):
-    """Entries (a, b, c, d) of exp(t * xi) in closed form per conjugacy
-    type, at a time or an array of times alike.
-
-    Elliptic: cos(w t/2) I + (2/w) sin(w t/2) M; hyperbolic the same with
-    cosh/sinh; parabolic and zero: I + t M (M is nilpotent there).
-    """
-    cls = classify(xi)
-    if cls.type is ElementType.ELLIPTIC:
-        half = 0.5 * cls.omega
+    """Entries (a, b, c, d) of exp(t * xi) in closed form, at a time or an
+    array of times alike, from the exact sign of disc = -det(M), M the
+    matrix of xi, and half = sqrt(|disc|): cos(half t) I + sin(half t) /
+    half M below zero, the same with cosh/sinh above, and I + t M at zero,
+    where M is nilpotent. No tolerance decides the branch, so a tiny or
+    nearly parabolic xi gets its own flow, of determinant 1."""
+    disc = _discriminant(xi)
+    half = math.sqrt(abs(disc))
+    if disc < 0.0:
         diag, s = np.cos(half * t), np.sin(half * t) / half
-    elif cls.type is ElementType.HYPERBOLIC:
-        half = 0.5 * cls.omega
+    elif disc > 0.0:
         diag, s = np.cosh(half * t), np.sinh(half * t) / half
     else:
         diag, s = 1.0, t

@@ -13,7 +13,7 @@ coefficients). A lone state of shape (8,) is a run sampled on a time
 grid, one trajectory in a loop of its own. In the chart it clips each
 step to end on the next sample time, so every sample is a step's end
 point and none is interpolated. A start nearly at rest in the frame
-that rotates with the generator it is given (simulate gives the start's
+that moves with the generator it is given (simulate gives the start's
 locked velocity) runs in that frame instead, with free steps and its
 samples read off each step's interpolant, until a step ends far from
 rest; the samples are carried back to the chart exactly. That loop
@@ -55,7 +55,7 @@ from .dynamics import (
 )
 from .equilibria import Family, RelativeEquilibrium, analytic_states, initial_state
 from .geom import separation
-from .liegroup import AlgebraElement, ElementType, classify, flow_entries
+from .liegroup import AlgebraElement, flow_entries
 
 _CSV_SCHEMA = "#schema=v1"
 _CSV_COLUMNS = "t,x1,y1,x2,y2,px1,py1,px2,py2,energy,Jh,Je,Jp,dist"
@@ -421,7 +421,7 @@ class OdeResult:
     and ``left_frame_at`` is a list with one such entry per column, ``t``
     holding the column's accepted step times. ``nfev`` counts the calls
     of ``fun``, each of which evaluates every column it is given. Only a
-    sampled run sets ``frame_xi``, the generator of the rotating frame it
+    sampled run sets ``frame_xi``, the generator of the moving frame it
     started in, and ``left_frame_at``, the time it left that frame; each
     is None where there is none.
     """
@@ -576,8 +576,8 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, events=(), frame=None
     conserved quantities, against 1e-15 landing.
 
     ``frame``, for a sampled fun of the two-body phase space, is an
-    elliptic algebra element xi under whose flow fun and the events are
-    invariant. If the start is nearly at rest in the frame that moves
+    algebra element xi, of any type, under whose flow fun and the events
+    are invariant. If the start is nearly at rest in the frame that moves
     with xi, |fun - X_xi| <= _AT_REST |fun| at y0, the loop integrates
     z~' = fun(z~) - X_xi(z~) for z~(t) = exp(-t xi) z(t) there, at one
     call of fun a stage; otherwise the run is the chart's, call for call.
@@ -882,16 +882,13 @@ _collision_event.direction = -1
 
 def _locked_velocity(state: PhaseState, params: Params) -> AlgebraElement | None:
     """The locked velocity xi0 = II(q)^-1 J(z) of a state, the generator
-    whose flow moves it most nearly as a rigid body, if it is finite and
-    elliptic; None otherwise, including where it cannot be computed."""
+    whose flow moves it most nearly as a rigid body, if it is finite; None
+    otherwise, including where it cannot be computed."""
     try:
         with np.errstate(all="ignore"):
             ii = locked_inertia(state.config, params)
             xi = np.linalg.solve(ii, momentum_map(state).coords())
-        if not np.all(np.isfinite(xi)):
-            return None
-        xi = AlgebraElement(*xi.tolist())
-        return xi if classify(xi).type is ElementType.ELLIPTIC else None
+        return AlgebraElement(*xi.tolist()) if np.all(np.isfinite(xi)) else None
     except (ArithmeticError, np.linalg.LinAlgError):
         return None
 
@@ -903,8 +900,8 @@ def integrate(
 
     Adaptive DOP853 with the configured tolerances, sampled on the uniform
     grid of sample_dt (t_end / 256 when unset). A start whose locked
-    velocity xi0 is elliptic and which is nearly at rest in the frame that
-    rotates with xi0 runs in that frame (see solve_ivp), with its samples
+    velocity xi0 is finite and which is nearly at rest in the frame that
+    moves with xi0 runs in that frame (see solve_ivp), with its samples
     read off the interpolant, until a step ends far from rest; any other
     run, and the rest of one that left the frame, lands its steps on the
     grid in the chart. A separation crossing the collision cutoff

@@ -652,6 +652,20 @@ class TestPerturbCommand:
         assert doc["stats"] == {
             "nfev": 2 + 12 * max(attempts), "frame_xi": [re.xi.E, re.xi.H, re.xi.P]}
 
+    def test_tiny_rate_is_judged_in_its_own_frame(self, capsys, tmp_path):
+        # at k = 1e-12 the rate is 1.5e-6; carried back by I + t M, which
+        # is no isometry, the same trials read n_bounded 0 and a deviation
+        # of 15.4 (measured 4.1e-4 with the exact flow)
+        doc = json.loads(Path(self._scenario(
+            tmp_path, scale=1e-10, n_trials=3, horizon_periods=20)).read_text())
+        doc["params"]["k"] = 1e-12
+        scenario = write_json(tmp_path / "tiny.json", doc)
+        code, out, _ = run(capsys, "perturb", "--scenario", scenario)
+        assert code == 0
+        report = json.loads(out)
+        assert report["n_bounded"] == report["protocol"]["n_trials"] == 3
+        assert report["max_distance_deviation"] < report["protocol"]["stable_band"]
+
     def test_seed_override(self, capsys, tmp_path):
         scenario = self._scenario(tmp_path)
         code, out, _ = run(

@@ -334,8 +334,6 @@ class TestArrayForms:
             lift = _generator_lift(xi, z[:, j].tolist())
             scale = max(np.max(np.abs(field)), np.max(np.abs(lift)))
             assert np.max(np.abs(batch[:, j] - (field - lift))) <= 16 * np.finfo(float).eps * scale, j
-            # a lone state with xi is the definition itself
-            assert np.array_equal(_field_array(z[:, j], m1, m2, k, xi), field - lift), j
         # each column rounds as it does alone, whatever N is: the columns
         # run in batches of 1, 7 and 50 give the same bits
         for n in (1, 7, 50):

@@ -30,7 +30,11 @@ from h2body import (
     normalizing_isometry,
 )
 
+from h2body.liegroup import flow_entries
+
 from conftest import random_algebra, random_group, random_point
+
+_G = GroupElement(1.3, 0.4, -0.7, 0.55)
 
 
 class TestGroupElement:
@@ -135,6 +139,15 @@ class TestClassify:
             assert c.type is ElementType.PARABOLIC
             assert c.sign == sign
 
+    @pytest.mark.parametrize("xi", [XI_E, XI_H, XI_P, adjoint(_G, XI_P)],
+                             ids=["elliptic", "hyperbolic", "parabolic", "conjugate"])
+    def test_type_does_not_depend_on_scale(self, xi):
+        # s xi has the type of xi for every s > 0; a tolerance with an
+        # absolute floor called both 1e-7 XI_E and 1e-7 XI_H parabolic
+        kind = classify(xi).type
+        for s in np.geomspace(1e-150, 1e150, 61).tolist():
+            assert classify(s * xi).type is kind, s
+
 
 class TestFlow:
     def test_rotation_half_period(self):
@@ -175,6 +188,27 @@ class TestFlow:
             assert np.allclose(
                 flow(xi, t).matrix(), expm(t * xi.matrix()), rtol=1e-12, atol=1e-12
             )
+
+    @pytest.mark.parametrize("xi", [
+        *(AlgebraElement(1.0, 0.0, 0.5 + 2.0 * d) for d in (1e-13, -1e-13, 1e-15, -1e-15, 0.0)),
+        AlgebraElement(2.0, 0.6, 0.91 + 1e-13),
+        adjoint(_G, 3.0 * XI_P),
+    ], ids=["disc+1e-13", "disc-1e-13", "disc+1e-15", "disc-1e-15", "disc0", "disc+1e-13H",
+            "conjugate"])
+    def test_matches_expm_near_parabolic(self, xi):
+        # 0 < |disc| < 1e-12 of either sign, and disc = 0, up to t = 1e4.
+        # A change delta of disc moves exp(t M) by about t^2 delta relative
+        # to its largest entry, and disc is known to eps |M|^2, so the bound
+        # is c eps (1 + t^2 |M|^2) relative to the largest entry: c reached 16 (the conjugate, whose
+        # disc is rounding), where a tolerance that sent |disc| < 1e-12 to
+        # I + t M reached 449 (1.7e-6 relative at t = 1e4, disc 1e-13)
+        m = xi.matrix()
+        norm2 = float(np.sum(m * m))
+        eps = np.finfo(float).eps
+        for t in np.geomspace(1e-2, 1e4, 61).tolist():
+            ref = expm(t * m)
+            err = np.max(np.abs(np.reshape(flow_entries(xi, t), (2, 2)) - ref))
+            assert err <= 32 * eps * (1.0 + t * t * norm2) * np.max(np.abs(ref)), t
 
     def test_group_law(self, rng):
         # entries grow like exp of the boost rate, so the comparison is

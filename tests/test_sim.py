@@ -433,13 +433,77 @@ class TestSampledFrame:
         for state, params in starts:
             assert integrate(state, params, cfg).stats["frame_xi"] is None
 
+    def test_hyperbolic_equilibrium_runs_in_its_frame(self):
+        # c = 1, d1 = 0.5, to |omega| t = 5 on the default grid of 257
+        # samples, read off the interpolant: 83 field calls and a chart
+        # error of 3.5e-12 of |z| (landing in the chart took 3,074)
+        re = build_relative_equilibrium(Family.HYPERBOLIC, 0.5, Params(1.0, 1.0))
+        rec = integrate(initial_state(re), re.params, IntegratorConfig(t_end=5.0 / re.omega))
+        assert rec.stats["frame_xi"] == pytest.approx(
+            [re.xi.E, re.xi.H, re.xi.P], rel=1e-14, abs=1e-15)
+        assert rec.stats["left_frame_at"] is None
+        assert rec.t.size == 257
+        assert rec.stats["nfev"] <= 90
+        ref = analytic_states(re, rec.t)
+        error = np.linalg.norm(rec.states - ref, axis=1) / np.linalg.norm(ref, axis=1)
+        assert np.max(error) <= 1e-11
+        assert conservation_report(rec)["energy"] <= 1e-13
+
+    def test_unstable_hyperbolic_equilibrium_leaves_its_frame(self):
+        # c = 1e2, d1 = 2 (lambda / |omega| about 17) leaves the frame at
+        # |omega| t = 1.62 and goes on in the chart
+        re = build_relative_equilibrium(Family.HYPERBOLIC, 2.0, Params(100.0, 1.0))
+        cfg = IntegratorConfig(t_end=2.0 / re.omega)
+        rec = integrate(initial_state(re), re.params, cfg)
+        assert rec.completed
+        np.testing.assert_array_equal(rec.t, cfg.sample_times())
+        assert rec.stats["frame_xi"] is not None
+        assert 1.5 < re.omega * rec.stats["left_frame_at"] < 1.7
+
+    def test_tiny_rate_runs_in_its_frame(self):
+        # at k = 1e-12 the rate is 1.5e-6: 20 periods take 548 field calls
+        # in the frame and deviate 1.5e-9 from the exact orbit (10,058 and
+        # 1.8e-7 in the chart)
+        re = _equal_mass_elliptic(k=1e-12)
+        rec = integrate(initial_state(re), re.params, IntegratorConfig(t_end=20.0 * re.period))
+        assert rec.stats["frame_xi"] is not None and rec.stats["left_frame_at"] is None
+        assert rec.stats["nfev"] <= 600
+        assert sim_mod._max_chart_deviation(re, rec.t, rec.states) <= 1e-8
+
+    def test_parabolic_locked_velocity_runs_in_its_frame(self):
+        # two bodies translating slowly at y = 1, under a coupling too weak
+        # to matter, move with the translation generator until their paths
+        # bend off the horocycle; the run matches a tight chart run
+        state = phase_state(0.5, 1.0, -0.5, 1.0, 1e-4, 0.0, 1e-4, 0.0)
+        params = Params(1.0, 1.0, 1e-12)
+        cfg = IntegratorConfig(t_end=100.0)
+        rec = integrate(state, params, cfg)
+        assert rec.completed
+        assert rec.stats["frame_xi"] == [0.0, 0.0, 1e-4]
+        assert 0.0 < rec.stats["left_frame_at"] < 100.0
+        ref = sim_mod.solve_ivp(_rhs(params), (0.0, 100.0), state.as_array(), rtol=1e-13,
+                                atol=1e-15, t_eval=cfg.sample_times())
+        assert np.max(np.abs(rec.states - ref.y.T)) <= 1e-14
+
     @pytest.mark.parametrize("z", [
         (0.4, 1e-300, -0.5, 0.8, 0.0, 0.3, 0.0, -0.3),
         (0.4, 0.9, -0.5, 0.8, 1e200, 0.3, 0.0, -0.3),
         (0.4, 1e300, -0.5, 0.8, 0.0, 0.3, 0.0, -0.3),
     ])
     def test_frame_choice_never_raises(self, z):
-        assert sim_mod._locked_velocity(phase_state(*z), Params(1.0, 1.0)) is None
+        # a body at y = 1e-300 or 1e300 has no finite locked velocity; at
+        # px1 = 1e200 it is finite and hyperbolic, about 1e199, but the
+        # field overflows there, so the start fails the at-rest test and
+        # runs in the chart
+        state = phase_state(*z)
+        frame = sim_mod._locked_velocity(state, Params(1.0, 1.0))
+        if state.px1 == 0.0:
+            assert frame is None
+            return
+        assert frame is not None and min(abs(frame.E), abs(frame.H), abs(frame.P)) > 1e198
+        sol = sim_mod.solve_ivp(_rhs(Params(1.0, 1.0)), (0.0, 1.0), state.as_array(),
+                                rtol=1e-10, atol=1e-12, t_eval=[0.0, 1.0], frame=frame)
+        assert sol.frame_xi is None and sol.left_frame_at is None
 
     def test_unresolved_frame_runs_as_the_chart(self, monkeypatch):
         # a body at y = 1e-300 has no finite locked inertia; the run is the
