@@ -173,23 +173,31 @@ def classify(xi: AlgebraElement) -> Classification:
     rotations (negative) from boosts (positive). A discriminant within
     1e-12 * |xi|^2 of zero, |xi| the Frobenius norm of the matrix, is
     parabolic, with the sign chosen so the element is conjugate to sign *
-    translation generator; s * xi has the type of xi for every s > 0.
+    translation generator. Both are computed on xi scaled exactly by the
+    power of two 2^-e that brings its largest component into [0.5, 1), so
+    no square overflows or underflows, and the rate 2 sqrt|disc| is scaled
+    back by 2^e (inf where it exceeds the float range): s * xi has the
+    type of xi, and s times its rate, for every s > 0.
     """
     if xi.E == 0.0 and xi.H == 0.0 and xi.P == 0.0:
         return Classification(ElementType.ZERO)
-    disc = _discriminant(xi)
-    fro2 = 0.5 * xi.H * xi.H + (xi.P - 0.5 * xi.E) ** 2 + 0.25 * xi.E * xi.E
+    e = math.frexp(max(abs(xi.E), abs(xi.H), abs(xi.P)))[1]
+    E, H, P = (math.ldexp(v, -e) for v in (xi.E, xi.H, xi.P))
+    disc = _discriminant(AlgebraElement(E, H, P))
+    fro2 = 0.5 * H * H + (P - 0.5 * E) ** 2 + 0.25 * E * E
     if abs(disc) < _PARABOLIC_TOL * fro2:
-        if xi.E < 0.0:
+        if E < 0.0:
             sign = 1
-        elif xi.E > 0.0:
+        elif E > 0.0:
             sign = -1
         else:
-            sign = 1 if xi.P > 0.0 else -1
+            sign = 1 if P > 0.0 else -1
         return Classification(ElementType.PARABOLIC, sign=sign)
-    if disc < 0.0:
-        return Classification(ElementType.ELLIPTIC, omega=2.0 * math.sqrt(-disc))
-    return Classification(ElementType.HYPERBOLIC, omega=2.0 * math.sqrt(disc))
+    # 2^e sqrt|disc| / 2 is below 2^1023, so only the last product can
+    # overflow, and a float product overflows to inf rather than raising
+    omega = 4.0 * math.ldexp(0.5 * math.sqrt(abs(disc)), e)
+    kind = ElementType.ELLIPTIC if disc < 0.0 else ElementType.HYPERBOLIC
+    return Classification(kind, omega=omega)
 
 
 def flow_entries(xi: AlgebraElement, t):

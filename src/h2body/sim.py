@@ -1,25 +1,26 @@
 """Time integration, conservation accounting, and perturbation experiments.
 
-Integration runs on an in-house Runge-Kutta engine, solve_ivp, that needs
-nothing but numpy: Dormand-Prince 8(5,3), "DOP853" (Hairer, Norsett &
-Wanner, Solving ODEs I, sec. II.10), following scipy's DOP853 in tableau,
-error norm, step controller, starting step, seventh-order dense output
-and event location. One loop runs a batch, states of shape (8, N) that
-keep a time, a step size and a status per column and evaluate the field
-once per stage for all columns still running, which is how the
-perturbation trials run (an elliptic equilibrium's in the frame that
-rotates with it, whose field X_H - X_xi is evaluated from one table of
-coefficients). A lone state of shape (8,) is a run sampled on a time
-grid, one trajectory in a loop of its own. In the chart it clips each
-step to end on the next sample time, so every sample is a step's end
-point and none is interpolated. A start nearly at rest in the frame
-that moves with the generator it is given (simulate gives the start's
-locked velocity) runs in that frame instead, with free steps and its
-samples read off each step's interpolant, until a step ends far from
-rest; the samples are carried back to the chart exactly. That loop
-keeps its stages in one matrix, the state as row 0, and scales the
-weights by h, so a stage is one matrix product; the batch keeps the
-rounding of each column independent of the others.
+Integration runs on an in-house Runge-Kutta engine, solve_ivp, that
+needs nothing but numpy: Dormand-Prince 8(5,3), "DOP853" (Hairer,
+Norsett & Wanner, Solving ODEs I, sec. II.10), following scipy's DOP853
+in tableau, error norm, step controller, starting step, seventh-order
+dense output and event location. The two-body Hamiltonian has no
+explicit time, so it solves the autonomous y' = f(y) from t = 0. One
+loop runs a batch, states of shape (8, N) that keep a time, a step size
+and a status per column and evaluate the field once per stage for all
+columns still running, which is how the perturbation trials run (an
+elliptic equilibrium's in the frame that rotates with it, whose field
+X_H - X_xi is evaluated from one table of coefficients). A lone state of
+shape (8,) is a run sampled on a time grid, one trajectory in a loop of
+its own. In the chart it clips each step to end on the next sample time,
+so every sample is a step's end point and none is interpolated. A start
+nearly at rest in the frame that moves with the generator it is given
+(simulate gives the start's locked velocity) runs in that frame instead,
+with free steps and its samples read off each step's interpolant, until
+a step ends far from rest; the samples are carried back to the chart
+exactly. That loop keeps its stages in one matrix, the state as row 0,
+and scales the weights by h, so a stage is one matrix product; the batch
+keeps the rounding of each column independent of the others.
 Neither loop caps the step, and both stop a trajectory at the first root
 of any event: every event is terminal. Trajectories are sampled on a
 uniform grid and carried around as plain arrays together with their
@@ -237,25 +238,9 @@ def _scale(y, y_new, rtol, atol):
 # Dormand-Prince 8(5,3), "DOP853" (Hairer, Norsett & Wanner, Solving ODEs I,
 # sec. II.10), with the coefficients of Hairer's dop853.f, as in scipy's
 # DOP853: stages 0-11 make the step, stage 12 is fun at the new point, and
-# stages 13-15 serve only the seventh-order dense output
-_DOP853_C = np.array([
-    0.0,
-    0.526001519587677318785587544488e-01,
-    0.789002279381515978178381316732e-01,
-    0.118350341907227396726757197510,
-    0.281649658092772603273242802490,
-    0.333333333333333333333333333333,
-    0.25,
-    0.307692307692307692307692307692,
-    0.651282051282051282051282051282,
-    0.6,
-    0.857142857142857142857142857142,
-    1.0,
-    1.0,
-    0.1,
-    0.2,
-    0.777777777777777777777777777778,
-])
+# stages 13-15 serve only the seventh-order dense output. The nodes, the
+# row sums of A, are not kept: the fields are autonomous, so no stage
+# needs a time of its own
 _DOP853_A = _from_sparse([
     {},
     {0: 5.26001519587677318785587544488e-2},
@@ -308,10 +293,8 @@ _DOP853_A = _from_sparse([
 # exponent is -1 / (order of the error estimate + 1)
 _N_STAGES = 12
 _EXPONENT = -1 / 8
-# what each stage reads, ready for the hot loop: its weights as a
-# contiguous row and its node as a float
+# each stage's weights as a contiguous row, ready for the hot loop
 _DOP853_WEIGHTS = tuple(row[:i].copy() for i, row in enumerate(_DOP853_A))
-_DOP853_NODES = tuple(map(float, _DOP853_C))
 # the error estimators act on stages 0-12: E5 of order 5, and E3 = B minus
 # the third-order weights
 _DOP853_E5 = _from_sparse([{
@@ -372,7 +355,7 @@ def _dop853_error_norm(y, y_new, ks, h, rtol, atol):
     return h * e5 / np.sqrt(np.maximum(e5 + 0.01 * e3, _TINY) * len(y))
 
 
-def _lone_step(fun, t, y, f, h, rtol, atol):
+def _lone_step(fun, y, f, h, rtol, atol):
     """One DOP853 step of a lone (n,) trajectory at one matrix product per
     stage: the new solution, the (17, n) stage matrix (row 0 the state,
     then _rk_step's stage array up to fun at the new point) and the error
@@ -381,10 +364,9 @@ def _lone_step(fun, t, y, f, h, rtol, atol):
     stages[0], stages[1] = y, f
     hw = _LONE_A * h
     hw[:, 0] = 1.0
-    nodes = _DOP853_NODES
     for i in range(1, _N_STAGES + 1):
         y_new = np.dot(hw[i], stages)
-        stages[i + 1] = fun(t + nodes[i] * h, y_new)
+        stages[i + 1] = fun(y_new)
     e = np.dot(_LONE_E, stages) / _scale(y, y_new, rtol, atol)
     e5, e3 = (e * e).sum(axis=1).tolist()
     return y_new, stages, h * e5 / math.sqrt(max(e5 + 0.01 * e3, _TINY) * y.size)
@@ -442,40 +424,39 @@ class OdeResult:
     left_frame_at: object = None
 
 
-def _fill(fun, t, y, h, ks, rows):
+def _fill(fun, y, h, ks, rows):
     """Fill the given rows of ks, the C-contiguous stage array of shape
-    (16,) + y.shape of a step of size h from (t, y), with one call of fun
+    (16,) + y.shape of a step of size h from y, with one call of fun
     each, and return the state of the last call."""
     flat = ks.reshape(len(ks), -1)  # a view, so it sees each row filled
-    weights, nodes, shape = _DOP853_WEIGHTS, _DOP853_NODES, y.shape
+    weights, shape = _DOP853_WEIGHTS, y.shape
     for i in rows:
         arg = y + np.dot(weights[i], flat[:i]).reshape(shape) * h
-        ks[i] = fun(t + nodes[i] * h, arg)
+        ks[i] = fun(arg)
     return arg
 
 
-def _rk_step(fun, t, y, f, h):
-    """One step from (t, y) with f = fun(t, y): the new solution, which is
-    the state of the last stage, and the stage array filled up to that
-    stage, fun at the new point."""
+def _rk_step(fun, y, f, h):
+    """One step from y with f = fun(y): the new solution, which is the
+    state of the last stage, and the stage array filled up to that stage,
+    fun at the new point."""
     ks = np.empty((len(_DOP853_A),) + y.shape)
     ks[0] = f
-    return _fill(fun, t, y, h, ks, range(1, _N_STAGES + 1)), ks
+    return _fill(fun, y, h, ks, range(1, _N_STAGES + 1)), ks
 
 
-def _initial_step(fun, t0, y0, f0, interval, rtol, atol):
+def _initial_step(fun, y0, f0, interval, rtol, atol):
     """Starting step per column (Hairer, Norsett & Wanner, Solving ODEs I,
     sec. II.4); one call of fun."""
     scale = atol + np.abs(y0) * rtol
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
-        h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), interval)
-        d2 = _rms((fun(t0 + h0, y0 + h0 * f0) - f0) / scale) / h0
-        h1 = np.where(
-            (d1 <= 1e-15) & (d2 <= 1e-15),
-            np.maximum(1e-6, h0 * 1e-3),
-            np.power(0.01 / np.maximum(d1, d2), -_EXPONENT),
-        )
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), interval)
+    d2 = _rms((fun(y0 + h0 * f0) - f0) / scale) / h0
+    h1 = np.where(
+        (d1 <= 1e-15) & (d2 <= 1e-15),
+        np.maximum(1e-6, h0 * 1e-3),
+        np.power(0.01 / np.maximum(d1, d2), -_EXPONENT),
+    )
     return np.minimum(np.minimum(100 * h0, h1), interval)
 
 
@@ -532,38 +513,43 @@ def _fire(events, g, g_new, sol, t_old, t):
     """The earliest root in [t_old, t] of the events that crossed zero, as
     (root, event); on a tie, the event listed first."""
     return min(
-        (_brentq(lambda s, ev=ev: ev(s, sol(s)), t_old, t), e)
+        (_brentq(lambda s, ev=ev: ev(sol(s)), t_old, t), e)
         for e, ev in enumerate(events)
         if _crossed(g[e], g_new[e], getattr(ev, "direction", 0))
     )
 
 
-def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, events=(), frame=None):
-    """Integrate y' = fun(t, y) forward over t_span with DOP853, an
-    adaptive Dormand-Prince 8(5,3) pair.
+def solve_ivp(fun, t_end, y0, *, rtol, atol, t_eval=None, events=(), frame=None):
+    """Integrate the autonomous system y' = fun(y) from t = 0 to t_end
+    with DOP853, an adaptive Dormand-Prince 8(5,3) pair.
 
-    The shape of y0 picks the loop. y0 of shape (n,) is one trajectory
-    sampled at the times ``t_eval``, which it needs; fun and the events
-    receive (n,) states and float times. y0 of shape (n, N) is a batch of
-    N that returns every accepted step of each column and takes neither
+    Neither fun nor an event reads the time: the two-body field has none,
+    so time enters only the step control, the sampling, the event roots
+    and a frame's carry-back to the chart, and no stage has a time of its
+    own. The shape of y0 picks the loop. y0 of shape (n,) is one
+    trajectory sampled at the times ``t_eval``, which it needs; fun and
+    the events receive (n,) states. y0 of shape (n, N) is a batch of N
+    that returns every accepted step of each column and takes neither
     ``t_eval`` nor ``frame``. It keeps a time, a step size and a status
-    per column, calls fun once per stage on the columns still running
-    with (N,) times and (n, N) states, and retires each column at the end
-    of the span, at an event or on step underflow. A column goes through
-    the same operations whatever the other columns are, so it does not
-    depend on them; the tests hold a column equal bit for bit to the same
-    start run as a batch of one. The sampled loop instead keeps a stage
-    matrix, the state as row 0 and the weights scaled by h, at one matrix
-    product a stage, and so rounds differently from a batch.
+    per column, calls fun once per stage on the (n, N) states of the
+    columns still running, and retires each column at t_end, at an event
+    or on step underflow. A column goes through the same operations
+    whatever the other columns are, so it does not depend on them; the
+    tests hold a column equal bit for bit to the same start run as a
+    batch of one. The sampled loop instead keeps a stage matrix, the state
+    as row 0 and the weights scaled by h, at one matrix product a stage,
+    and so rounds differently from a batch.
 
     The step control, starting step, dense output and event location
     follow scipy's DOP853, with no cap on the step size. A step costs 12
     calls of fun, and its seventh-order dense output 3 more, built only
     for a step in which an event crosses zero (in a batch, in one pass for
-    the columns that do). An event is a function ``event(t, y)`` with an
+    the columns that do). An event is a function ``event(y)`` with an
     optional ``direction`` attribute. Every event is terminal: a
     trajectory stops at the first root of any of them, which is its only
-    entry in ``t_events`` and ``y_events``.
+    entry in ``t_events`` and ``y_events``. Both loops turn a trial stage
+    that is not finite into a rejected step or a named NaN step, so
+    numpy's floating-point warnings are silenced while they run.
 
     A sampled run returns the state at each time of ``t_eval``: each step
     is clipped to end on the next of them, and after an accepted clipped
@@ -591,10 +577,10 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, events=(), frame=None
     The states returned are chart states, carried back exactly by
     exp(t xi), and ``frame_xi`` and ``left_frame_at`` say what happened.
     """
-    t0, t_bound = float(t_span[0]), float(t_span[1])
+    t_end = float(t_end)
     y0 = np.array(y0, dtype=float)
-    if not (math.isfinite(t0) and math.isfinite(t_bound) and t_bound > t0):
-        raise ValueError(f"need a finite t_span with t0 < t_bound, got {t_span!r}")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError(f"need a finite t_end > 0, got {t_end!r}")
     if not np.all(np.isfinite(y0)):
         raise ValueError("y0 must be finite")
     _require_tolerances(rtol, atol)
@@ -603,10 +589,12 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, events=(), frame=None
         if t_eval is None:
             raise ValueError("a single trajectory needs t_eval; a batch is y0 of shape (n, N)")
         t_eval = np.asarray(t_eval, dtype=float)
-        return _solve_sampled(fun, t0, t_bound, y0, rtol, atol, t_eval, events, frame)
-    if t_eval is not None or frame is not None:
+    elif t_eval is not None or frame is not None:
         raise ValueError("t_eval and frame apply to a single trajectory, y0 of shape (n,)")
-    return _solve_batch(fun, t0, t_bound, y0, rtol, atol, events)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if y0.ndim == 1:
+            return _solve_sampled(fun, t_end, y0, rtol, atol, t_eval, events, frame)
+        return _solve_batch(fun, t_end, y0, rtol, atol, events)
 
 
 # the largest |X_H - X_xi| / |X_H| at which a state counts as nearly at
@@ -628,12 +616,13 @@ def _to_chart(xi, t, z):
     return np.array(_act_phase(*flow_entries(xi, t), z))
 
 
-def _solve_sampled(fun, t, t_bound, y, rtol, atol, t_eval, events, xi):
+def _solve_sampled(fun, t_bound, y, rtol, atol, t_eval, events, xi):
     """DOP853 on one trajectory sampled at t_eval: in the chart each step
     is clipped to end on the next sample time, so that every sample is a
     step's end point; in the frame of xi the steps run freely and the
     samples inside a step come from its interpolant."""
-    f = fun(t, y)
+    t = 0.0
+    f = fun(y)
     rhs = fun
     if xi is not None:
         field = f.tolist()
@@ -641,15 +630,15 @@ def _solve_sampled(fun, t, t_bound, y, rtol, atol, t_eval, events, xi):
         if _at_rest(residual, field):
             f = np.array(residual)
 
-            def rhs(t, z):
-                return fun(t, z) - _generator_lift(xi, z.tolist())
+            def rhs(z):
+                return fun(z) - _generator_lift(xi, z.tolist())
         else:
             xi = None
     frame_xi, left_frame_at = xi, None
-    h_abs = float(_initial_step(rhs, t, y, f, t_bound - t, rtol, atol))
+    h_abs = float(_initial_step(rhs, y, f, t_bound, rtol, atol))
     nfev, accepted, rejected, dense = 2, 0, 0, 0
     h_min, h_max = math.inf, 0.0
-    g = [ev(t, y) for ev in events]
+    g = [ev(y) for ev in events]
     t_events, y_events = [[] for _ in events], [[] for _ in events]
     samples = t_eval.tolist()
     ts, ys = [], []
@@ -672,7 +661,7 @@ def _solve_sampled(fun, t, t_bound, y, rtol, atol, t_eval, events, xi):
         while h_abs >= min_step:
             t_new = min(t + h_abs, t_stop)
             h = t_new - t
-            y_new, stages, err = _lone_step(rhs, t, y, f, h, rtol, atol)
+            y_new, stages, err = _lone_step(rhs, y, f, h, rtol, atol)
             nfev += _N_STAGES
             if err < 1:
                 factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT)
@@ -693,12 +682,12 @@ def _solve_sampled(fun, t, t_bound, y, rtol, atol, t_eval, events, xi):
         t_out = t
         if t >= t_bound:
             status = 0
-        g_new = [ev(t, y) for ev in events]
+        g_new = [ev(y) for ev in events]
         hit = any(_crossed(a, b, getattr(ev, "direction", 0)) for a, b, ev in zip(g, g_new, events))
         # in the frame, the samples inside the step come from its interpolant
         i_end = i_eval if xi is None else bisect_left(samples, t, i_eval)
         if hit or i_end > i_eval:
-            _fill(rhs, t_old, y_old, h, ks, _EXTRA)
+            _fill(rhs, y_old, h, ks, _EXTRA)
             nfev += len(_EXTRA)
             dense += 1
             sol = _interpolant(t_old, h, y_old, y, ks)
@@ -723,10 +712,10 @@ def _solve_sampled(fun, t, t_bound, y, rtol, atol, t_eval, events, xi):
             ys = list(_to_chart(xi, np.array(ts), np.reshape(ys, (-1, y.size)).T).T)
             y = _to_chart(xi, t, y)
             rhs, xi, left_frame_at = fun, None, t
-            f = fun(t, y)
-            h_abs = float(_initial_step(fun, t, y, f, t_bound - t, rtol, atol))
+            f = fun(y)
+            h_abs = float(_initial_step(fun, y, f, t_bound - t, rtol, atol))
             nfev += 2
-            g = [ev(t, y) for ev in events]
+            g = [ev(y) for ev in events]
     ts, states = np.array(ts), np.reshape(ys, (-1, y.size)).T
     if xi is not None:
         states = _to_chart(xi, ts, states)
@@ -758,86 +747,85 @@ def _message(status, t, nan_step=False):
     return f"step size underflow at t = {float(t)!r}: {cause}"
 
 
-def _solve_batch(fun, t0, t_bound, y, rtol, atol, events):
-    n, size = y.shape
+def _solve_batch(fun, t_bound, y, rtol, atol, events):
+    size = y.shape[1]
     rows = np.arange(size)  # batch row of each working column
-    t = np.full(size, t0)
-    f = fun(t, y)
-    h_abs = _initial_step(fun, t, y, f, t_bound - t0, rtol, atol)
+    t = np.zeros(size)
+    f = fun(y)
+    h_abs = _initial_step(fun, y, f, t_bound, rtol, atol)
     nfev = 2
     fresh = np.ones(size, dtype=bool)  # the next attempt starts a new step
     accepted, rejected, dense = (np.zeros(size, dtype=int) for _ in range(3))
     h_min, h_max = np.full(size, np.inf), np.zeros(size)
     status = np.zeros(size, dtype=int)  # 0 unless a row fails or an event stops it
     nan_step = np.zeros(size, dtype=bool)
-    g = [ev(t, y) for ev in events]
+    g = [ev(y) for ev in events]
     t_events = [[[] for _ in events] for _ in range(size)]
     y_events = [[[] for _ in events] for _ in range(size)]
     log = [(rows, t, y)]  # accepted points as (rows, times, states)
-    with np.errstate(divide="ignore"):  # a zero error norm grows the step tenfold
-        while rows.size:
-            min_step = 10 * (np.nextafter(t, np.inf) - t)
-            h_abs = np.where(fresh, np.maximum(h_abs, min_step), h_abs)
-            failed = ~(h_abs >= min_step)  # a NaN step fails too
-            if failed.any():
-                status[rows[failed]] = -1
-                nan_step[rows[failed]] = np.isnan(h_abs[failed])
-                rows, t, y, f, h_abs, fresh, *g = (
-                    a[..., ~failed] for a in (rows, t, y, f, h_abs, fresh, *g)
-                )
-                continue
-            t_new = np.minimum(t + h_abs, t_bound)
-            h = t_new - t
-            y_new, ks = _rk_step(fun, t, y, f, h)
-            nfev += _N_STAGES
-            err = _dop853_error_norm(y, y_new, ks, h, rtol, atol)
-            ok = err < 1
-            factor = _SAFETY * np.power(err, _EXPONENT)
-            grow = np.minimum(_MAX_FACTOR, factor)
-            h_abs = h * np.where(
-                ok, np.where(fresh, grow, np.minimum(1.0, grow)), np.fmax(_MIN_FACTOR, factor)
+    while rows.size:
+        min_step = 10 * (np.nextafter(t, np.inf) - t)
+        h_abs = np.where(fresh, np.maximum(h_abs, min_step), h_abs)
+        failed = ~(h_abs >= min_step)  # a NaN step fails too
+        if failed.any():
+            status[rows[failed]] = -1
+            nan_step[rows[failed]] = np.isnan(h_abs[failed])
+            rows, t, y, f, h_abs, fresh, *g = (
+                a[..., ~failed] for a in (rows, t, y, f, h_abs, fresh, *g)
             )
-            fresh = ok
-            accepted[rows] += ok
-            rejected[rows] += ~ok
-            if not ok.any():
-                continue
-            h_min[rows[ok]] = np.minimum(h_min[rows[ok]], h[ok])
-            h_max[rows[ok]] = np.maximum(h_max[rows[ok]], h[ok])
-            t_old, y_old = t, y
-            t, y, f = np.where(ok, t_new, t), np.where(ok, y_new, y), np.where(ok, ks[_N_STAGES], f)
-            done = ok & (t_new >= t_bound)
-            if events:
-                g_new = [ev(t_new, y_new) for ev in events]
-                hit = ok & np.logical_or.reduce([
-                    _crossed(a, b, getattr(ev, "direction", 0)) for a, b, ev in zip(g, g_new, events)
-                ])
-                cols = np.flatnonzero(hit)
-                if cols.size:
-                    # the extra stages of every row that hit, in one pass
-                    stages = np.ascontiguousarray(ks[..., cols])
-                    _fill(fun, t_old[cols], y_old[:, cols], h[cols], stages, _EXTRA)
-                    nfev += len(_EXTRA)
-                    dense[rows[cols]] += 1
-                for c, j in enumerate(cols):
-                    sol = _interpolant(
-                        t_old[j], h[j], y_old[:, j], y_new[:, j], np.ascontiguousarray(stages[..., c])
-                    )
-                    root, e = _fire(
-                        events, [a[j] for a in g], [b[j] for b in g_new], sol, t_old[j], t_new[j]
-                    )
-                    y_root = sol(root)
-                    t_events[rows[j]][e].append(root)
-                    y_events[rows[j]][e].append(y_root)
-                    t_new[j], y_new[:, j] = root, y_root
-                    status[rows[j]] = 1
-                done |= hit
-                g = [np.where(ok, b, a) for a, b in zip(g, g_new)]
-            log.append((rows[ok], t_new[ok], y_new[:, ok]))
-            if done.any():
-                rows, t, y, f, h_abs, fresh, *g = (
-                    a[..., ~done] for a in (rows, t, y, f, h_abs, fresh, *g)
+            continue
+        t_new = np.minimum(t + h_abs, t_bound)
+        h = t_new - t
+        y_new, ks = _rk_step(fun, y, f, h)
+        nfev += _N_STAGES
+        err = _dop853_error_norm(y, y_new, ks, h, rtol, atol)
+        ok = err < 1
+        factor = _SAFETY * np.power(err, _EXPONENT)
+        grow = np.minimum(_MAX_FACTOR, factor)
+        h_abs = h * np.where(
+            ok, np.where(fresh, grow, np.minimum(1.0, grow)), np.fmax(_MIN_FACTOR, factor)
+        )
+        fresh = ok
+        accepted[rows] += ok
+        rejected[rows] += ~ok
+        if not ok.any():
+            continue
+        h_min[rows[ok]] = np.minimum(h_min[rows[ok]], h[ok])
+        h_max[rows[ok]] = np.maximum(h_max[rows[ok]], h[ok])
+        t_old, y_old = t, y
+        t, y, f = np.where(ok, t_new, t), np.where(ok, y_new, y), np.where(ok, ks[_N_STAGES], f)
+        done = ok & (t_new >= t_bound)
+        if events:
+            g_new = [ev(y_new) for ev in events]
+            hit = ok & np.logical_or.reduce([
+                _crossed(a, b, getattr(ev, "direction", 0)) for a, b, ev in zip(g, g_new, events)
+            ])
+            cols = np.flatnonzero(hit)
+            if cols.size:
+                # the extra stages of every row that hit, in one pass
+                stages = np.ascontiguousarray(ks[..., cols])
+                _fill(fun, y_old[:, cols], h[cols], stages, _EXTRA)
+                nfev += len(_EXTRA)
+                dense[rows[cols]] += 1
+            for c, j in enumerate(cols):
+                sol = _interpolant(
+                    t_old[j], h[j], y_old[:, j], y_new[:, j], np.ascontiguousarray(stages[..., c])
                 )
+                root, e = _fire(
+                    events, [a[j] for a in g], [b[j] for b in g_new], sol, t_old[j], t_new[j]
+                )
+                y_root = sol(root)
+                t_events[rows[j]][e].append(root)
+                y_events[rows[j]][e].append(y_root)
+                t_new[j], y_new[:, j] = root, y_root
+                status[rows[j]] = 1
+            done |= hit
+            g = [np.where(ok, b, a) for a, b in zip(g, g_new)]
+        log.append((rows[ok], t_new[ok], y_new[:, ok]))
+        if done.any():
+            rows, t, y, f, h_abs, fresh, *g = (
+                a[..., ~done] for a in (rows, t, y, f, h_abs, fresh, *g)
+            )
     which = np.concatenate([r for r, _, _ in log])
     order = np.argsort(which, kind="stable")
     bounds = np.searchsorted(which[order], np.arange(size + 1))
@@ -870,7 +858,7 @@ def _solve_batch(fun, t0, t_bound, y, rtol, atol, events):
 _STATS = ("nfev", "accepted", "rejected", "dense", "h_min", "h_max")
 
 
-def _collision_event(t, z):
+def _collision_event(z):
     return separation(z[0], z[1], z[2], z[3]) - COLLISION_EPSILON
 
 
@@ -915,12 +903,12 @@ def integrate(
     """
     m1, m2, k = params.m1, params.m2, params.k
 
-    def rhs(t, z):
+    def rhs(z):
         return _field_array(z, m1, m2, k)
 
     sol = solve_ivp(
         rhs,
-        (0.0, config.t_end),
+        config.t_end,
         state.as_array(),
         rtol=config.rel_tol,
         atol=config.abs_tol,
@@ -1104,17 +1092,17 @@ def perturb_and_measure(experiment: PerturbationExperiment) -> dict:
     m1, m2, k = params.m1, params.m2, params.k
     frame = re.xi if re.family is Family.ELLIPTIC else None
 
-    def rhs(t, z):
+    def rhs(z):
         return _field_array(z, m1, m2, k, frame)
 
-    def escape(t, z):
+    def escape(z):
         d = separation(z[0], z[1], z[2], z[3])
         return abs(d - r0) - ESCAPE_THRESHOLD
 
     starts = [_draw_perturbed(rng, z0, experiment.scale) for _ in range(experiment.n_trials)]
     sol = solve_ivp(
         rhs,
-        (0.0, experiment.horizon),
+        experiment.horizon,
         np.array([z for z, _ in starts]).T,
         rtol=experiment.rel_tol,
         atol=experiment.abs_tol,

@@ -447,6 +447,23 @@ class TestSimulateCommand:
         final = analytic_trajectory(re, float(rec.t[-1])).as_array()
         assert max(abs(a - b) for a, b in zip(rec.states[-1], final)) < 1e-6
 
+    def test_run_that_leaves_its_frame_prints_nothing(self, capsys, tmp_path):
+        # the unstable hyperbolic equilibrium at m1 = 100, d1 = 2 leaves its
+        # frame and its chart coordinates grow to about 1e10; trial stages
+        # on the way overflow the potential gradient, which the engine
+        # rejects as steps, so no numpy warning reaches stderr
+        re = build_relative_equilibrium(Family.HYPERBOLIC, 2.0, Params(100.0, 1.0, 1.0))
+        start = dict(zip(("x1", "y1", "x2", "y2", "px1", "py1", "px2", "py2"),
+                         map(float, initial_state(re).as_array())))
+        scenario, _ = simulate_scenario(
+            tmp_path, params={"m1": 100.0, "m2": 1.0, "k": 1.0}, initial_state=start,
+            integrator={"t_end": 5.0 / abs(re.omega)})
+        outdir = tmp_path / "out"
+        code, out, err = run(capsys, "simulate", "--scenario", scenario, "--out", str(outdir))
+        assert (code, out, err) == (0, "", "")
+        stats = json.loads((outdir / "conservation.json").read_text())["stats"]
+        assert stats["left_frame_at"] is not None
+
     def test_collision_scenario_exits_3(self, capsys, tmp_path):
         scenario, _ = simulate_scenario(
             tmp_path,

@@ -19,12 +19,14 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo, tmp_path):
-    # threshold_curve.py writes its CSV into the working directory
+    # threshold_curve.py writes its CSV into the working directory; the
+    # suite's warnings-as-errors setting does not reach a subprocess, so
+    # -W error makes any warning fail the demo here too
     src = str(Path(h2body.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         cwd=tmp_path,
         env=env,
         capture_output=True,
@@ -32,3 +34,4 @@ def test_demo_runs(demo, tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

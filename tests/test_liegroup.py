@@ -142,11 +142,14 @@ class TestClassify:
     @pytest.mark.parametrize("xi", [XI_E, XI_H, XI_P, adjoint(_G, XI_P)],
                              ids=["elliptic", "hyperbolic", "parabolic", "conjugate"])
     def test_type_does_not_depend_on_scale(self, xi):
-        # s xi has the type of xi for every s > 0; a tolerance with an
-        # absolute floor called both 1e-7 XI_E and 1e-7 XI_H parabolic
-        kind = classify(xi).type
-        for s in np.geomspace(1e-150, 1e150, 61).tolist():
-            assert classify(s * xi).type is kind, s
+        # s xi has the type of xi, and s times its rate, for every s > 0,
+        # out to scales where the squares of the components would overflow
+        # (from about 1e154) or underflow (below about 1e-154)
+        ref = classify(xi)
+        for s in np.geomspace(1e-300, 1e300, 121).tolist():
+            c = classify(s * xi)
+            assert c.type is ref.type, s
+            assert c.omega == pytest.approx(s * ref.omega, rel=4 * np.finfo(float).eps, abs=0.0), s
 
 
 class TestFlow:

@@ -403,14 +403,14 @@ class TestSampledFrame:
         z0 = state.as_array()
         d0 = float(separation(*z0[:4]))
 
-        def band(t, z):
+        def band(z):
             return abs(separation(z[0], z[1], z[2], z[3]) - d0) - 3e-4
 
-        def rhs(t, z):
+        def rhs(z):
             return sim_mod._field_array(z, 1.0, 1.0, 1.0)
 
         def run(frame, rtol, atol):
-            return sim_mod.solve_ivp(rhs, (0.0, 20.0), z0, rtol=rtol, atol=atol,
+            return sim_mod.solve_ivp(rhs, 20.0, z0, rtol=rtol, atol=atol,
                                      t_eval=np.linspace(0.0, 20.0, 201), events=band,
                                      frame=frame)
 
@@ -481,7 +481,7 @@ class TestSampledFrame:
         assert rec.completed
         assert rec.stats["frame_xi"] == [0.0, 0.0, 1e-4]
         assert 0.0 < rec.stats["left_frame_at"] < 100.0
-        ref = sim_mod.solve_ivp(_rhs(params), (0.0, 100.0), state.as_array(), rtol=1e-13,
+        ref = sim_mod.solve_ivp(_rhs(params), 100.0, state.as_array(), rtol=1e-13,
                                 atol=1e-15, t_eval=cfg.sample_times())
         assert np.max(np.abs(rec.states - ref.y.T)) <= 1e-14
 
@@ -501,7 +501,7 @@ class TestSampledFrame:
             assert frame is None
             return
         assert frame is not None and min(abs(frame.E), abs(frame.H), abs(frame.P)) > 1e198
-        sol = sim_mod.solve_ivp(_rhs(Params(1.0, 1.0)), (0.0, 1.0), state.as_array(),
+        sol = sim_mod.solve_ivp(_rhs(Params(1.0, 1.0)), 1.0, state.as_array(),
                                 rtol=1e-10, atol=1e-12, t_eval=[0.0, 1.0], frame=frame)
         assert sol.frame_xi is None and sol.left_frame_at is None
 
@@ -580,7 +580,19 @@ class TestPerturbation:
 
 
 def _rhs(params):
-    return lambda t, z: _field_array(z, params.m1, params.m2, params.k)
+    return lambda z: _field_array(z, params.m1, params.m2, params.k)
+
+
+def _timed(fun):
+    """A field or event of the state alone as scipy's fun(t, y), keeping
+    an event's terminal and direction."""
+    def timed(t, y):
+        return fun(y)
+
+    for name in ("terminal", "direction"):
+        if hasattr(fun, name):
+            setattr(timed, name, getattr(fun, name))
+    return timed
 
 
 def _kicked_starts(re, n, size=1e-4, seed=5):
@@ -593,7 +605,7 @@ def _kicked_starts(re, n, size=1e-4, seed=5):
 def _escape_event(re, threshold=0.5):
     r0 = float(re.distance)
 
-    def escape(t, z):
+    def escape(z):
         return abs(separation(z[0], z[1], z[2], z[3]) - r0) - threshold
 
     escape.terminal = True
@@ -607,9 +619,8 @@ class TestEngine:
     def test_dop853_tableau_matches_scipy(self):
         from scipy.integrate._ivp import dop853_coefficients as ref
 
-        a, c = sim_mod._DOP853_A, sim_mod._DOP853_C
+        a = sim_mod._DOP853_A
         np.testing.assert_array_equal(a, ref.A)
-        np.testing.assert_array_equal(c, ref.C)
         np.testing.assert_array_equal(sim_mod._DOP853_E3, ref.E3)
         np.testing.assert_array_equal(sim_mod._DOP853_E5, ref.E5)
         np.testing.assert_array_equal(sim_mod._DOP853_D, ref.D)
@@ -619,26 +630,26 @@ class TestEngine:
         np.testing.assert_array_equal(sim_mod._LONE_A[:, 1:], ref.A)
         np.testing.assert_array_equal(sim_mod._LONE_E[:, 1:14], [ref.E5, ref.E3])
         np.testing.assert_array_equal(sim_mod._LONE_E[:, [0, 14, 15, 16]], 0.0)
-        # consistency: each stage's weights sum to its node, the solution's to 1
-        np.testing.assert_allclose(a.sum(axis=1), c, rtol=0.0, atol=4e-15)
+        # consistency: each stage's weights sum to scipy's node, the solution's to 1
+        np.testing.assert_allclose(a.sum(axis=1), ref.C, rtol=0.0, atol=4e-15)
         assert a[sim_mod._N_STAGES].sum() == pytest.approx(1.0, rel=0.0, abs=1e-15)
 
     def test_unsampled_trajectory_matches_scipy_dop853_over_100_periods(self):
         # a batch of one returns every accepted step, as scipy does
         re = _equal_mass_elliptic()
         state = _kicked_bound_state(re)
-        span = (0.0, 100.0 * re.period)
-        ours = sim_mod.solve_ivp(_rhs(re.params), span, state.as_array()[:, None], rtol=1e-9,
+        t_end = 100.0 * re.period
+        ours = sim_mod.solve_ivp(_rhs(re.params), t_end, state.as_array()[:, None], rtol=1e-9,
                                  atol=1e-11)
-        ref = scipy_solve_ivp(_rhs(re.params), span, state.as_array(), method="DOP853",
-                              rtol=1e-9, atol=1e-11)
+        ref = scipy_solve_ivp(_timed(_rhs(re.params)), (0.0, t_end), state.as_array(),
+                              method="DOP853", rtol=1e-9, atol=1e-11)
         assert ours.status[0] == ref.status == 0
         # the same controller takes the same number of steps; their sizes
         # differ in the last digits of a cancelling error estimate, so the
         # states are compared where both land, at the end of the span
         assert ours.t[0].size == ref.t.size
         assert abs(ours.nfev - ref.nfev) <= 0.01 * ref.nfev
-        assert ours.t[0][-1] == ref.t[-1] == span[1]
+        assert ours.t[0][-1] == ref.t[-1] == t_end
         np.testing.assert_allclose(ours.y[0][:, -1], ref.y[:, -1], rtol=0.0, atol=1e-9)
 
     def test_unsampled_run_needs_under_40_percent_of_rk45_field_calls(self):
@@ -646,11 +657,11 @@ class TestEngine:
         re = _equal_mass_elliptic()
         start = _kicked_starts(re, 1)
         events = (sim_mod._collision_event, _escape_event(re))
-        span = (0.0, 20.0 * re.period)
-        ours = sim_mod.solve_ivp(_rhs(re.params), span, start, rtol=1e-10, atol=1e-12,
+        t_end = 20.0 * re.period
+        ours = sim_mod.solve_ivp(_rhs(re.params), t_end, start, rtol=1e-10, atol=1e-12,
                                  events=events)
-        ref = scipy_solve_ivp(_rhs(re.params), span, start[:, 0], method="RK45", rtol=1e-10,
-                              atol=1e-12, events=events)
+        ref = scipy_solve_ivp(_timed(_rhs(re.params)), (0.0, t_end), start[:, 0], method="RK45",
+                              rtol=1e-10, atol=1e-12, events=[_timed(ev) for ev in events])
         assert ours.status[0] == ref.status == 0
         assert ours.nfev < 0.4 * ref.nfev
 
@@ -664,7 +675,7 @@ class TestEngine:
         )
         rec = integrate(state, re.params, cfg)
         ref = scipy_solve_ivp(
-            _rhs(re.params), (0.0, cfg.t_end), state.as_array(), method="DOP853",
+            _timed(_rhs(re.params)), (0.0, cfg.t_end), state.as_array(), method="DOP853",
             rtol=1e-13, atol=1e-15, t_eval=cfg.sample_times(),
         )
         assert ref.status == 0
@@ -682,10 +693,10 @@ class TestEngine:
         params = Params(c, 1.0)
         re = build_relative_equilibrium(Family.ELLIPTIC, d1, params)
         start = _kicked_starts(re, 1)
-        span = (0.0, 10.0 * re.period)
-        lone = sim_mod.solve_ivp(_rhs(params), span, start[:, 0], rtol=1e-10, atol=1e-12,
-                                 t_eval=list(span))
-        batch = sim_mod.solve_ivp(_rhs(params), span, start, rtol=1e-10, atol=1e-12)
+        span = [0.0, 10.0 * re.period]
+        lone = sim_mod.solve_ivp(_rhs(params), span[1], start[:, 0], rtol=1e-10, atol=1e-12,
+                                 t_eval=span)
+        batch = sim_mod.solve_ivp(_rhs(params), span[1], start, rtol=1e-10, atol=1e-12)
         assert lone.status == batch.status[0] == 0
         assert (lone.accepted, lone.rejected, lone.nfev) == (
             batch.accepted[0], batch.rejected[0], batch.nfev)
@@ -701,11 +712,11 @@ class TestEngine:
         re = _equal_mass_elliptic(u=u)
         starts = _kicked_starts(re, 5)
         events = (sim_mod._collision_event, _escape_event(re))
-        span = (0.0, periods * re.period)
-        batch = sim_mod.solve_ivp(_rhs(re.params), span, starts, rtol=1e-10, atol=1e-12,
+        t_end = periods * re.period
+        batch = sim_mod.solve_ivp(_rhs(re.params), t_end, starts, rtol=1e-10, atol=1e-12,
                                   events=events)
         for i in range(starts.shape[1]):
-            one = sim_mod.solve_ivp(_rhs(re.params), span, starts[:, i:i + 1], rtol=1e-10,
+            one = sim_mod.solve_ivp(_rhs(re.params), t_end, starts[:, i:i + 1], rtol=1e-10,
                                     atol=1e-12, events=events)
             assert batch.status[i] == one.status[0] == (1 if u > 0.5 else 0)
             assert (batch.accepted[i], batch.rejected[i]) == (one.accepted[0], one.rejected[0])
@@ -730,12 +741,12 @@ class TestEngine:
         re = _equal_mass_elliptic(u=0.8)
         escape = _escape_event(re)
         starts = _kicked_starts(re, 3)
-        span = (0.0, 2.0 * re.period)
-        batch = sim_mod.solve_ivp(_rhs(re.params), span, starts, rtol=1e-10, atol=1e-12,
+        t_end = 2.0 * re.period
+        batch = sim_mod.solve_ivp(_rhs(re.params), t_end, starts, rtol=1e-10, atol=1e-12,
                                   events=escape)
         for i in range(starts.shape[1]):
-            ref = scipy_solve_ivp(_rhs(re.params), span, starts[:, i], method="DOP853",
-                                  rtol=1e-10, atol=1e-12, events=escape)
+            ref = scipy_solve_ivp(_timed(_rhs(re.params)), (0.0, t_end), starts[:, i],
+                                  method="DOP853", rtol=1e-10, atol=1e-12, events=_timed(escape))
             assert ref.status == batch.status[i] == 1
             assert batch.t_events[i][0][0] == pytest.approx(ref.t_events[0][0], rel=0.0, abs=1e-9)
             assert batch.t[i][-1] == batch.t_events[i][0][0]
@@ -746,19 +757,19 @@ class TestEngine:
         state = phase_state(0.0, 1.0, 0.0, 1.2, 0.0, 0.0, 0.0, 0.0)
         with pytest.raises(CollisionDuringIntegration) as err:
             integrate(state, params, IntegratorConfig(t_end=5.0))
-        ref = scipy_solve_ivp(_rhs(params), (0.0, 5.0), state.as_array(), method="RK45",
-                              rtol=1e-10, atol=1e-12, events=sim_mod._collision_event)
+        ref = scipy_solve_ivp(_timed(_rhs(params)), (0.0, 5.0), state.as_array(), method="RK45",
+                              rtol=1e-10, atol=1e-12, events=_timed(sim_mod._collision_event))
         assert ref.status == 1
         assert err.value.record.t[-1] == pytest.approx(ref.t_events[0][0], rel=0.0, abs=1e-9)
 
     def test_step_underflow_like_scipy(self):
         # y' = y^2, y(0) = 1 blows up at t = 1; both engines give up within
         # about 1e-11 of it (DOP853 steps just past it)
-        def blow_up(t, y):
+        def blow_up(y):
             return y * y
 
-        ours = sim_mod.solve_ivp(blow_up, (0.0, 2.0), np.array([[1.0]]), rtol=1e-10, atol=1e-12)
-        ref = scipy_solve_ivp(blow_up, (0.0, 2.0), [1.0], method="DOP853", rtol=1e-10,
+        ours = sim_mod.solve_ivp(blow_up, 2.0, np.array([[1.0]]), rtol=1e-10, atol=1e-12)
+        ref = scipy_solve_ivp(_timed(blow_up), (0.0, 2.0), [1.0], method="DOP853", rtol=1e-10,
                               atol=1e-12)
         assert ours.status[0] == ref.status == -1
         assert "underflow" in ours.message[0]
@@ -770,10 +781,10 @@ class TestEngine:
                              ids=["batch", "sampled"])
     def test_nan_step_is_named(self, y0, t_eval):
         # the field overflows the error scale, so the starting step is NaN
-        def huge(t, y):
+        def huge(y):
             return np.full_like(y, 1e300)
 
-        sol = sim_mod.solve_ivp(huge, (0.0, 1.0), np.array(y0), rtol=1e-10, atol=1e-12,
+        sol = sim_mod.solve_ivp(huge, 1.0, np.array(y0), rtol=1e-10, atol=1e-12,
                                 t_eval=t_eval)
         status, message = (sol.status, sol.message) if t_eval else (sol.status[0], sol.message[0])
         assert status == -1
@@ -790,16 +801,16 @@ class TestEngine:
         for kwargs in (
             dict(y0=bad),
             dict(y0=z, rtol=1e-16),
-            dict(y0=z, t_span=(0.0, math.inf)),
+            dict(y0=z, t_end=math.inf),
             dict(y0=np.column_stack([z, z]), t_eval=[0.0, 1.0]),
             # a lone trajectory is a sampled one
             dict(y0=z),
             # a batch runs as given, in the chart
             dict(y0=np.column_stack([z, z]), frame=xi),
         ):
-            args = {"t_span": (0.0, 1.0), "rtol": 1e-10, "atol": 1e-12, **kwargs}
+            args = {"t_end": 1.0, "rtol": 1e-10, "atol": 1e-12, **kwargs}
             with pytest.raises(ValueError):
-                sim_mod.solve_ivp(rhs, args.pop("t_span"), args.pop("y0"), **args)
+                sim_mod.solve_ivp(rhs, args.pop("t_end"), args.pop("y0"), **args)
 
 
 class TestCounters:
@@ -863,7 +874,7 @@ class TestCounters:
         re = _equal_mass_elliptic(u=0.8)
         start = _kicked_starts(re, 1)
         sol = sim_mod.solve_ivp(
-            lambda t, z: sim_mod._field_array(z, 1.0, 1.0, 1.0), (0.0, 2.0 * re.period), start,
+            lambda z: sim_mod._field_array(z, 1.0, 1.0, 1.0), 2.0 * re.period, start,
             rtol=1e-10, atol=1e-12, events=(sim_mod._collision_event, _escape_event(re)),
         )
         assert sol.status[0] == 1 and sol.dense[0] == 1
@@ -873,10 +884,10 @@ class TestCounters:
 
     def test_step_range_brackets_every_accepted_step(self):
         re = _equal_mass_elliptic()
-        span = (0.0, 3.0 * re.period)
+        t_end = 3.0 * re.period
         starts = _kicked_starts(re, 3)
-        one = sim_mod.solve_ivp(_rhs(re.params), span, starts[:, :1], rtol=1e-10, atol=1e-12)
-        batch = sim_mod.solve_ivp(_rhs(re.params), span, starts, rtol=1e-10, atol=1e-12)
+        one = sim_mod.solve_ivp(_rhs(re.params), t_end, starts[:, :1], rtol=1e-10, atol=1e-12)
+        batch = sim_mod.solve_ivp(_rhs(re.params), t_end, starts, rtol=1e-10, atol=1e-12)
         runs = list(zip(one.t, one.h_min, one.h_max))
         runs += list(zip(batch.t, batch.h_min, batch.h_max))
         for t, h_min, h_max in runs:
@@ -915,7 +926,7 @@ def _drawn_starts(re, n, seed, scale=1e-4):
 
 def _fixed_frame_batch(re, starts, horizon, rtol, atol):
     """perturb's batch and events, integrated in the chart."""
-    return sim_mod.solve_ivp(_rhs(re.params), (0.0, horizon), starts, rtol=rtol, atol=atol,
+    return sim_mod.solve_ivp(_rhs(re.params), horizon, starts, rtol=rtol, atol=atol,
                              events=(sim_mod._collision_event, _escape_event(re)))
 
 
@@ -1024,3 +1035,68 @@ class TestMovingFrame:
         moving_error = np.max(np.abs(np.array([s[:, -1] for s in rebuilt]) - end_ref))
         fixed_error = np.max(np.abs(np.array([y[:, -1] for y in fixed.y]) - end_ref))
         assert moving_error <= fixed_error
+
+
+# work against precision on unkicked equilibria, whose exact motion is known,
+# at abs_tol = rel_tol / 100: elliptic over 10 periods sampled once a period,
+# hyperbolic to |omega| t = 5 at 10 samples. Per rel_tol, the measured
+# (nfev, chart error, drift) of the chart route, solve_ivp with no frame,
+# and of the frame route, integrate; the drift is the largest of the four
+# conservation_report values
+_GRID_TOLS = (1e-6, 1e-8, 1e-10, 1e-12)
+_PRECISION_GRID = [
+    (Family.ELLIPTIC, math.atanh(0.4), 1.0,
+     [(1826, 3.80e-4, 1.36e-6), (3242, 3.46e-6, 1.31e-8),
+      (4826, 1.38e-8, 1.64e-10), (7694, 3.80e-10, 2.90e-12)],
+     [(242, 4.95e-6, 4.46e-9), (257, 2.39e-8, 3.41e-11),
+      (209, 9.65e-10, 3.39e-12), (209, 4.94e-12, 4.17e-13)]),
+    (Family.ELLIPTIC, math.atanh(0.3), 3.0,
+     [(2126, 1.29e-3, 9.04e-6), (3230, 1.48e-5, 7.37e-8),
+      (5414, 1.96e-7, 5.60e-10), (8426, 1.51e-9, 4.36e-12)],
+     [(254, 1.75e-5, 2.84e-8), (257, 1.25e-7, 8.05e-11),
+      (266, 5.26e-9, 8.41e-11), (209, 1.84e-11, 3.50e-13)]),
+    (Family.HYPERBOLIC, 0.5, 1.0,
+     [(134, 5.62e-3, 5.26e-9), (254, 9.56e-4, 2.46e-10),
+      (374, 1.34e-5, 1.72e-12), (614, 1.68e-7, 1.40e-14)],
+     [(80, 4.11e-10, 9.77e-15), (80, 4.11e-10, 9.77e-15),
+      (80, 4.11e-10, 9.77e-15), (32, 1.82e-10, 9.33e-15)]),
+]
+
+
+@pytest.mark.parametrize("family, d1, c, chart, frame", _PRECISION_GRID,
+                         ids=["elliptic-c1", "elliptic-c3", "hyperbolic-c1"])
+def test_precision_grid(family, d1, c, chart, frame):
+    # a change must not take more steps for the same error, nor the same
+    # steps for a worse one: nfev within 2%, error and drift at most twice
+    # the measured values, and the chart error and drift falling with the
+    # tolerance
+    re = build_relative_equilibrium(family, d1, Params(c, 1.0))
+    if family is Family.ELLIPTIC:
+        t_end, dt = 10.0 * re.period, re.period
+    else:
+        t_end = 5.0 / abs(re.omega)
+        dt = t_end / 10.0
+    z0 = initial_state(re).as_array()
+    measured = {"chart": [], "frame": []}
+    for rtol in _GRID_TOLS:
+        cfg = IntegratorConfig(t_end=t_end, rel_tol=rtol, abs_tol=rtol / 100, sample_dt=dt)
+        sol = sim_mod.solve_ivp(_rhs(re.params), t_end, z0, rtol=rtol, atol=rtol / 100,
+                                t_eval=cfg.sample_times())
+        rec = record_from_states(sol.t, sol.y.T, re.params, stats={"nfev": sol.nfev})
+        assert sol.frame_xi is None
+        for route, run in (("chart", rec), ("frame", integrate(initial_state(re), re.params, cfg))):
+            assert run.completed
+            measured[route].append((
+                run.stats["nfev"],
+                sim_mod._max_chart_deviation(re, run.t, run.states),
+                max(conservation_report(run).values()),
+            ))
+    for route, table in (("chart", chart), ("frame", frame)):
+        for rtol, (nfev, error, drift), (nfev0, error0, drift0) in zip(
+                _GRID_TOLS, measured[route], table):
+            assert abs(nfev - nfev0) <= 0.02 * nfev0, (route, rtol, nfev)
+            assert error <= 2.0 * error0, (route, rtol, error)
+            assert drift <= 2.0 * drift0, (route, rtol, drift)
+    for column in (1, 2):
+        values = [row[column] for row in measured["chart"]]
+        assert all(a > b for a, b in zip(values, values[1:])), values
